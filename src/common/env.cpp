@@ -5,13 +5,24 @@
 
 namespace odin::common {
 
+bool parse_f64(const char* s, double& out) {
+  char* end = nullptr;
+  out = std::strtod(s, &end);
+  return end != s && *end == '\0';
+}
+
+bool parse_i64(const char* s, long long& out) {
+  char* end = nullptr;
+  out = std::strtoll(s, &end, 10);
+  return end != s && *end == '\0';
+}
+
 bool env_long(const char* name, long long& out) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
+  long long v = 0;
   // strtoll skips leading whitespace; the strict contract does not.
-  if (end == env || *end != '\0' ||
+  if (!parse_i64(env, v) ||
       (*env != '-' && *env != '+' && (*env < '0' || *env > '9'))) {
     std::fprintf(stderr,
                  "odin: ignoring %s='%s' (not an integer); using default\n",

@@ -1,4 +1,5 @@
-// Strict environment-variable parsing, shared by every ODIN_* knob.
+// Strict number parsing, shared by every ODIN_* knob and the scenario-file
+// parsers.
 //
 // std::strtol alone maps "abc" to 0 and "8cores" to 8, both silently — a
 // typo in a deployment manifest would change behaviour without a trace.
@@ -10,6 +11,11 @@
 #pragma once
 
 namespace odin::common {
+
+/// Whole-token number parses: true only when all of `s` is one number
+/// (std::strtod / base-10 std::strtoll syntax, nothing left over).
+bool parse_f64(const char* s, double& out);
+bool parse_i64(const char* s, long long& out);
 
 /// Strict integer env parse: the whole value must be a decimal number.
 /// Returns false (and leaves `out` untouched) when the variable is unset

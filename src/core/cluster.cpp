@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -36,17 +34,6 @@ int shards_per_mesh(const CampaignConfig& campaign, int meshes) {
   int k = std::clamp(campaign.shards, 1, pes_total);
   k = std::min(k, 64 / std::max(1, meshes));
   return std::max(1, k);
-}
-
-template <typename T, typename Fn>
-void encode_vec(const std::vector<T>& v, common::ByteWriter& out, Fn enc) {
-  out.u64(v.size());
-  for (const T& x : v) enc(x);
-}
-
-bool vec_count(common::ByteReader& in, std::uint64_t& n) {
-  n = in.u64();
-  return in.ok() && n <= (1u << 24);
 }
 
 }  // namespace
@@ -137,38 +124,31 @@ std::optional<ClusterState> decode_cluster_state(common::ByteReader& in) {
   s.failover = in.boolean();
   s.outages_fired = in.i32();
   s.replication_rounds = in.i32();
-  std::uint64_t n = 0;
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.mesh_down.push_back(in.u8());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i)
-    s.mesh_down_until_s.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.mesh_served.push_back(in.i64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.replica_runs.push_back(in.i64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.replica_time_s.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.replica_mesh.push_back(in.i32());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.tenant_ready_s.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.tenant_victim.push_back(in.u8());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    CircuitBreaker::Snapshot b;
-    b.state = in.i32();
-    b.window_bits = in.u64();
-    b.window_fill = in.i32();
-    b.hold_left = in.i32();
-    b.hold_runs = in.i32();
-    b.opens = in.i32();
-    b.reopens = in.i32();
-    b.probes = in.i32();
-    b.closes = in.i32();
-    s.breakers.push_back(b);
-  }
+  auto u8 = [&] { return in.u8(); };
+  auto f64 = [&] { return in.f64(); };
+  auto i64 = [&] { return in.i64(); };
+  if (!decode_vec(in, s.mesh_down, u8) ||
+      !decode_vec(in, s.mesh_down_until_s, f64) ||
+      !decode_vec(in, s.mesh_served, i64) ||
+      !decode_vec(in, s.replica_runs, i64) ||
+      !decode_vec(in, s.replica_time_s, f64) ||
+      !decode_vec(in, s.replica_mesh, [&] { return in.i32(); }) ||
+      !decode_vec(in, s.tenant_ready_s, f64) ||
+      !decode_vec(in, s.tenant_victim, u8) ||
+      !decode_vec(in, s.breakers, [&] {
+        CircuitBreaker::Snapshot b;
+        b.state = in.i32();
+        b.window_bits = in.u64();
+        b.window_fill = in.i32();
+        b.hold_left = in.i32();
+        b.hold_runs = in.i32();
+        b.opens = in.i32();
+        b.reopens = in.i32();
+        b.probes = in.i32();
+        b.closes = in.i32();
+        return b;
+      }))
+    return std::nullopt;
   s.failovers = in.i64();
   s.restored_stale = in.i64();
   s.lost_runs = in.i64();
@@ -189,9 +169,93 @@ std::optional<ClusterState> decode_cluster_state(common::ByteReader& in) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster campaign engine.
+// Campaign engine: run_cluster, and run_campaign as its one-mesh case.
 
 namespace {
+
+/// Drift/fault pricing: a storm's drift multiplier inflates service (more
+/// verify/search work) and energy; the injector's unusable-cell fraction
+/// adds retry overhead on both.
+constexpr double kDriftServiceFactor = 0.5;
+constexpr double kDriftEnergyFactor = 0.25;
+constexpr double kFaultRetryFactor = 2.0;
+/// Degraded out-of-band (shed) service relative to the full path.
+constexpr double kShedServiceFactor = 0.5;
+constexpr double kShedEnergyFactor = 0.6;
+
+/// Per-PE demand bar the tenant-migration loop flattens toward after a
+/// rescale (which equalizes only to 1-PE granularity).
+constexpr double kMigrateResidualThreshold = 1.05;
+
+/// Price one serve of tenant `t` on a `pes`-wide block under the given
+/// drift multiplier and unusable-cell fraction: drift inflates service and
+/// energy, faults add retry overhead on both, the block speed divides
+/// service.
+void campaign_price(const ScenarioTenant& t, double drift_mult,
+                    double fault_fraction, int pes, double& service_s,
+                    double& energy_j) noexcept {
+  const double penal = (1.0 + kDriftServiceFactor * (drift_mult - 1.0)) *
+                       (1.0 + kFaultRetryFactor * fault_fraction);
+  const double speed = campaign_shard_speed(pes);
+  service_s = t.service_s * penal / speed;
+  energy_j = t.energy_j * (1.0 + kDriftEnergyFactor * (drift_mult - 1.0)) *
+             (1.0 + kFaultRetryFactor * fault_fraction);
+}
+
+/// Reprice an already-priced serve for the degraded out-of-band path (shed
+/// or breaker-open fallback): shorter, cheaper, off the shard FIFO.
+void campaign_degrade(double& service_s, double& energy_j) noexcept {
+  service_s *= kShedServiceFactor;
+  energy_j *= kShedEnergyFactor;
+}
+
+/// Contiguous shard blocks with the given per-shard PE counts, cut along
+/// the snake fill order — the shape rescale_shard_blocks produces, so the
+/// counts alone reconstruct the blocks on resume.
+std::vector<std::vector<int>> campaign_blocks_from_counts(
+    const arch::PimConfig& pim, const std::vector<std::int32_t>& counts) {
+  const std::vector<int> order = fleet_fill_order(pim, true);
+  std::vector<std::vector<int>> out(counts.size());
+  std::size_t pos = 0;
+  for (std::size_t k = 0; k < counts.size(); ++k) {
+    const auto take = static_cast<std::size_t>(std::max<std::int32_t>(
+        0, counts[k]));
+    out[k].assign(order.begin() + static_cast<std::ptrdiff_t>(pos),
+                  order.begin() + static_cast<std::ptrdiff_t>(pos + take));
+    pos += take;
+  }
+  return out;
+}
+
+/// Demand-balanced contiguous initial placement: tenant index ranges map
+/// to shards in order, boundaries chosen so each shard's expected demand
+/// share matches its PE share. Contiguity matters: flash crowds target
+/// contiguous tenant index ranges, so a crowd's overload lands shard-local.
+std::vector<std::int32_t> campaign_initial_placement(
+    const ScenarioTrace& trace, const std::vector<std::int32_t>& shard_pes) {
+  const std::size_t T = trace.tenants.size();
+  const std::size_t K = shard_pes.size();
+  double total = 0.0;
+  std::vector<double> demand(T, 0.0);
+  for (std::size_t i = 0; i < T; ++i) {
+    demand[i] = trace.tenants[i].weight * trace.tenants[i].service_s;
+    total += demand[i];
+  }
+  double pes_total = 0.0;
+  for (std::int32_t p : shard_pes) pes_total += static_cast<double>(p);
+  std::vector<std::int32_t> out(T, 0);
+  std::size_t k = 0;
+  double acc = 0.0, cut = total * static_cast<double>(shard_pes[0]) / pes_total;
+  for (std::size_t i = 0; i < T; ++i) {
+    if (acc >= cut && k + 1 < K) {
+      ++k;
+      cut += total * static_cast<double>(shard_pes[k]) / pes_total;
+    }
+    out[i] = static_cast<std::int32_t>(k);
+    acc += demand[i];
+  }
+  return out;
+}
 
 /// Resolve the outage schedule against the mesh count: draw missing
 /// windows and victim meshes from the scenario seed (fork 11 — disjoint
@@ -224,8 +288,15 @@ std::vector<MeshOutage> resolve_outages(const ClusterConfig& config,
   return outs;
 }
 
+/// The one campaign engine. `cluster_frames` picks the checkpoint frame
+/// kind: run_cluster writes "cluster" frames with the ClusterState tail;
+/// run_campaign writes "campaign" frames without it, so the two resume
+/// paths refuse each other's checkpoints. A resumed frame without a
+/// cluster tail starts from the fresh one-mesh ClusterState (nothing
+/// fired, breakers closed).
 std::optional<ClusterResult> run_cluster_impl(
-    const ClusterConfig& config, const ServingCheckpoint* resume_ckpt) {
+    const ClusterConfig& config, const ServingCheckpoint* resume_ckpt,
+    bool cluster_frames) {
   const CampaignConfig& camp = config.campaign;
   ScenarioConfig scfg = camp.scenario;
   scfg.seed = scfg.resolved_seed();
@@ -319,22 +390,25 @@ std::optional<ClusterResult> run_cluster_impl(
   if (resume_ckpt != nullptr) {
     st = resume_ckpt->scenario;
     stats = resume_ckpt->result.tenants;
-    cs = resume_ckpt->cluster;
     if (stats.size() != T) return std::nullopt;
     if (st.storm_shard_mask.size() !=
             static_cast<std::size_t>(st.storms_fired) ||
         st.shard_wear.size() != static_cast<std::size_t>(S))
       return std::nullopt;
-    if (cs.mesh_down.size() != static_cast<std::size_t>(M) ||
-        cs.mesh_down_until_s.size() != static_cast<std::size_t>(M) ||
-        cs.mesh_served.size() != static_cast<std::size_t>(M) ||
-        cs.replica_runs.size() != T || cs.replica_time_s.size() != T ||
-        cs.replica_mesh.size() != T || cs.tenant_ready_s.size() != T ||
-        cs.tenant_victim.size() != T || cs.breakers.size() != T)
-      return std::nullopt;
-    if (cs.outages_fired < 0 ||
-        static_cast<std::size_t>(cs.outages_fired) > outs.size())
-      return std::nullopt;
+    if (resume_ckpt->has_cluster) {
+      cs = resume_ckpt->cluster;
+      if (cs.mesh_down.size() != static_cast<std::size_t>(M) ||
+          cs.mesh_down_until_s.size() != static_cast<std::size_t>(M) ||
+          cs.mesh_served.size() != static_cast<std::size_t>(M) ||
+          cs.replica_runs.size() != T || cs.replica_time_s.size() != T ||
+          cs.replica_mesh.size() != T || cs.tenant_ready_s.size() != T ||
+          cs.tenant_victim.size() != T || cs.breakers.size() != T)
+        return std::nullopt;
+      if (cs.outages_fired < 0 ||
+          static_cast<std::size_t>(cs.outages_fired) > outs.size())
+        return std::nullopt;
+      for (std::size_t i = 0; i < T; ++i) brk[i].restore(cs.breakers[i]);
+    }
     gen.skip(st.next_event);
     // Re-apply fired storms' drift windows to the global shards they
     // actually hit (a dark target mesh left its mask empty).
@@ -363,7 +437,6 @@ std::optional<ClusterResult> run_cluster_impl(
       if (!inj[static_cast<std::size_t>(s)]->fast_forward(
               st.shard_wear[static_cast<std::size_t>(s)]))
         return std::nullopt;
-    for (std::size_t i = 0; i < T; ++i) brk[i].restore(cs.breakers[i]);
   }
 
   std::optional<CheckpointWriter> writer;
@@ -377,8 +450,6 @@ std::optional<ClusterResult> run_cluster_impl(
     for (int s = 0; s < S; ++s)
       st.shard_wear[static_cast<std::size_t>(s)] =
           inj[static_cast<std::size_t>(s)]->wear_state();
-    cs.breakers.resize(T);
-    for (std::size_t i = 0; i < T; ++i) cs.breakers[i] = brk[i].snapshot();
     ServingCheckpoint ckpt;
     ckpt.segment = static_cast<std::uint64_t>(st.epoch);
     ckpt.next_run = st.next_event;
@@ -389,20 +460,25 @@ std::optional<ClusterResult> run_cluster_impl(
     ckpt.t_end_s = h;
     for (const ScenarioTenant& t : trace.tenants)
       ckpt.tenant_names.push_back(t.name);
-    ckpt.result.label = "cluster";
+    ckpt.result.label = cluster_frames ? "cluster" : "campaign";
     ckpt.result.tenants = stats;
     ckpt.sojourn_cap = static_cast<std::uint64_t>(camp.sojourn_cap);
     ckpt.has_scenario = true;
     ckpt.scenario = st;
-    ckpt.has_cluster = true;
-    ckpt.cluster = cs;
+    if (cluster_frames) {
+      cs.breakers.resize(T);
+      for (std::size_t i = 0; i < T; ++i) cs.breakers[i] = brk[i].snapshot();
+      ckpt.has_cluster = true;
+      ckpt.cluster = cs;
+    }
     writer->write(ckpt);
   };
 
   // Close one epoch: each *alive* mesh autoscales independently over its
-  // own K shards and its own tenants — exactly the campaign close_epoch
-  // restricted to the mesh's slice, so a single-mesh cluster reproduces
-  // it bitwise. A dark mesh is skipped (nothing served, nothing to cut).
+  // own K shards and its own tenants — re-cut PE blocks proportionally to
+  // the epoch's shard demand, then migrate tenants off still-overloaded
+  // shards, ledgering migration cost off the serving FIFO. A dark mesh is
+  // skipped (nothing served, nothing to cut).
   auto close_epoch = [&]() {
     for (int m = 0; m < M; ++m) {
       if (cs.mesh_down[static_cast<std::size_t>(m)] != 0) continue;
@@ -713,8 +789,8 @@ std::optional<ClusterResult> run_cluster_impl(
     ++cs.mesh_served[static_cast<std::size_t>(mesh)];
     // Degraded admission: a non-closed breaker serves the fallback path
     // until its hold drains; the run that exhausts it is the half-open
-    // probe. Closed breakers never consume state, so a single-mesh
-    // cluster (no failover ever fires) matches run_campaign bitwise.
+    // probe. Closed breakers never consume state, so without a failover
+    // (run_campaign never fails over) every serve takes the full path.
     bool degraded = false, probe = false;
     if (brk[tenant].state() != CircuitBreaker::State::kClosed) {
       const bool full = brk[tenant].allow();
@@ -823,6 +899,57 @@ std::optional<ClusterResult> run_cluster_impl(
   return r;
 }
 
+/// run_campaign's geometry as a cluster: one mesh, no outages, failover
+/// off. Every cluster knob is pinned, so no cluster env default leaks into
+/// a campaign.
+ClusterConfig one_mesh(const CampaignConfig& campaign) {
+  ClusterConfig cfg;
+  cfg.campaign = campaign;
+  cfg.meshes = 1;
+  cfg.mesh_outages = 0;
+  cfg.replication_epochs = kDefaultReplicationEpochs;
+  cfg.failover.enabled = 0;
+  return cfg;
+}
+
+/// Resume either frame kind from the newest valid checkpoint of the pair.
+/// Wrong-geometry refusal: a frame of the other kind is refused; the
+/// campaign state only reinstates onto the identical scenario
+/// (seed/requests/tenants/shards/epochs/autoscale and the sojourn retention
+/// cap), and a cluster frame only onto the identical cluster (mesh count,
+/// replication cadence, failover arm).
+std::optional<ClusterResult> resume_impl(const ClusterConfig& config,
+                                         bool cluster_frames) {
+  const CampaignConfig& camp = config.campaign;
+  if (camp.checkpoint.base_path.empty()) return std::nullopt;
+  const auto ckpt = load_latest_checkpoint(camp.checkpoint.base_path);
+  if (!ckpt.has_value() || !ckpt->has_scenario ||
+      ckpt->has_cluster != cluster_frames)
+    return std::nullopt;
+  ScenarioConfig scfg = camp.scenario;
+  scfg.seed = scfg.resolved_seed();
+  const int M = config.resolved_meshes();
+  const CampaignState& s = ckpt->scenario;
+  if (s.seed != scfg.seed ||
+      s.requests != static_cast<std::uint64_t>(
+                        std::max<long long>(0, scfg.requests)) ||
+      s.tenants != std::max(1, scfg.tenants) ||
+      s.shards != M * shards_per_mesh(camp, M) ||
+      s.epochs != std::max(1, camp.epochs) ||
+      s.autoscale != camp.autoscale.resolved_enabled() ||
+      ckpt->sojourn_cap != static_cast<std::uint64_t>(camp.sojourn_cap))
+    return std::nullopt;
+  const ClusterState& c = ckpt->cluster;
+  if (cluster_frames &&
+      (c.meshes != M ||
+       c.replication_epochs != config.resolved_replication_epochs() ||
+       c.failover != config.failover.resolved_enabled()))
+    return std::nullopt;
+  ClusterConfig cont = config;
+  cont.campaign.max_requests = 0;
+  return run_cluster_impl(cont, &*ckpt, cluster_frames);
+}
+
 }  // namespace
 
 double ClusterResult::victim_recovery() const noexcept {
@@ -883,43 +1010,25 @@ std::string ClusterResult::summary(bool include_trajectory) const {
 }
 
 ClusterResult run_cluster(const ClusterConfig& config) {
-  auto result = run_cluster_impl(config, nullptr);
+  auto result = run_cluster_impl(config, nullptr, true);
   assert(result.has_value());  // only a resume checkpoint can fail
   return std::move(*result);
 }
 
 std::optional<ClusterResult> resume_cluster(const ClusterConfig& config) {
-  if (config.campaign.checkpoint.base_path.empty()) return std::nullopt;
-  const auto ckpt =
-      load_latest_checkpoint(config.campaign.checkpoint.base_path);
-  if (!ckpt.has_value() || !ckpt->has_scenario || !ckpt->has_cluster)
-    return std::nullopt;
-  // Wrong-geometry refusal, campaign then cluster: the state only
-  // reinstates onto the identical scenario AND the identical cluster
-  // (mesh count, replication cadence, failover arm).
-  ScenarioConfig scfg = config.campaign.scenario;
-  scfg.seed = scfg.resolved_seed();
-  const int M = config.resolved_meshes();
-  const int K = shards_per_mesh(config.campaign, M);
-  const CampaignState& s = ckpt->scenario;
-  if (s.seed != scfg.seed ||
-      s.requests != static_cast<std::uint64_t>(
-                        std::max<long long>(0, scfg.requests)) ||
-      s.tenants != std::max(1, scfg.tenants) || s.shards != M * K ||
-      s.epochs != std::max(1, config.campaign.epochs) ||
-      s.autoscale != config.campaign.autoscale.resolved_enabled())
-    return std::nullopt;
-  if (ckpt->sojourn_cap !=
-      static_cast<std::uint64_t>(config.campaign.sojourn_cap))
-    return std::nullopt;
-  const ClusterState& c = ckpt->cluster;
-  if (c.meshes != M ||
-      c.replication_epochs != config.resolved_replication_epochs() ||
-      c.failover != config.failover.resolved_enabled())
-    return std::nullopt;
-  ClusterConfig cont = config;
-  cont.campaign.max_requests = 0;
-  return run_cluster_impl(cont, &*ckpt);
+  return resume_impl(config, true);
+}
+
+CampaignResult run_campaign(const CampaignConfig& config) {
+  auto result = run_cluster_impl(one_mesh(config), nullptr, false);
+  assert(result.has_value());  // only a resume checkpoint can fail
+  return std::move(result->campaign);
+}
+
+std::optional<CampaignResult> resume_campaign(const CampaignConfig& config) {
+  auto result = resume_impl(one_mesh(config), false);
+  if (!result.has_value()) return std::nullopt;
+  return std::move(result->campaign);
 }
 
 // ---------------------------------------------------------------------------
@@ -938,18 +1047,6 @@ std::optional<ClusterConfig> parse_cluster(std::istream& in) {
                  raw.c_str());
     return std::nullopt;
   };
-  auto parse_f64 = [](const std::string& tok, double& out) {
-    const char* s = tok.c_str();
-    char* end = nullptr;
-    out = std::strtod(s, &end);
-    return end != s && *end == '\0';
-  };
-  auto parse_i64 = [](const std::string& tok, long long& out) {
-    const char* s = tok.c_str();
-    char* end = nullptr;
-    out = std::strtoll(s, &end, 10);
-    return end != s && *end == '\0';
-  };
   while (std::getline(in, raw)) {
     ++lineno;
     std::string text = raw;
@@ -965,10 +1062,10 @@ std::optional<ClusterConfig> parse_cluster(std::istream& in) {
     std::vector<std::string> args;
     for (std::string a; ls >> a;) args.push_back(a);
     auto num = [&](std::size_t i, double& v) {
-      return i < args.size() && parse_f64(args[i], v);
+      return i < args.size() && common::parse_f64(args[i].c_str(), v);
     };
     auto integer = [&](std::size_t i, long long& v) {
-      return i < args.size() && parse_i64(args[i], v);
+      return i < args.size() && common::parse_i64(args[i].c_str(), v);
     };
     long long iv = 0;
     double fv = 0.0;

@@ -27,14 +27,14 @@
 //    recovery time (RTO) is the outage-to-ready gap, serialized restores
 //    queuing behind one detection delay.
 //
-// Determinism: a single-mesh cluster is bitwise-identical to
-// run_campaign — it walks the same arrival stream through the same
-// pricing expressions (campaign_price) over the same shard geometry — and
-// every cluster decision (outage windows, storm target meshes, failover
+// One engine: run_cluster is the only campaign loop. run_campaign
+// (core/scenario) is its one-mesh case with no outages and failover off,
+// writing "campaign" checkpoint frames without the cluster tail. Every
+// cluster decision (outage windows, storm target meshes, failover
 // destinations) is a pure function of the seeds and the state, so
 // same-seed replay and mid-campaign resume reproduce the summary byte for
-// byte. The cluster state rides checkpoint payload v7; v6 frames decode
-// as a single-mesh cluster with replication and failover off.
+// byte. The cluster state rides checkpoint payload v7; a cluster frame
+// refuses resume_campaign and a campaign frame refuses resume_cluster.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +78,7 @@ struct FailoverConfig {
 
 struct ClusterConfig {
   /// The per-mesh campaign (scenario, shards *per mesh*, autoscale,
-  /// epochs, checkpointing). One mesh reproduces run_campaign bitwise.
+  /// epochs, checkpointing).
   CampaignConfig campaign{};
   /// Mesh count; <= 0 defers to ODIN_MESHES (strict env_long parse,
   /// default 1). Clamped to [1, 8].
@@ -122,8 +122,8 @@ struct ClusterState {
   std::vector<double> tenant_ready_s;       ///< restore completion time
   std::vector<std::uint8_t> tenant_victim;  ///< ever evacuated off a mesh
   /// Per-tenant degraded-admission breakers (the failover path force-opens
-  /// them; closed breakers never consume state, so a single-mesh cluster
-  /// stays bitwise-identical to run_campaign).
+  /// them; closed breakers never consume state, so a campaign without
+  /// failovers prices every serve on the full path).
   std::vector<CircuitBreaker::Snapshot> breakers;
   // Ledgers.
   std::int64_t failovers = 0;        ///< tenant evacuations off a lost mesh
@@ -168,8 +168,7 @@ struct ClusterResult {
 };
 
 /// Run the cluster campaign from the start. Deterministic and
-/// single-threaded; with resolved_meshes() == 1 the campaign block of the
-/// result is bitwise-identical to run_campaign on `config.campaign`.
+/// single-threaded.
 ClusterResult run_cluster(const ClusterConfig& config);
 
 /// Resume an interrupted cluster campaign from its checkpoint pair.

@@ -20,19 +20,20 @@
 //    Every event consumes a fixed number of RNG draws, so a resumed
 //    campaign replays the stream to its cursor instead of serializing
 //    generator state (the same replay idiom as FaultInjector).
-//  * run_campaign() drives an analytic fleet model at millions of
-//    requests: per-shard FIFO clocks, service times scaled by the shard's
-//    PE block (inter-layer pipelining) and inflated by the shard
-//    injector's drift multiplier and fault fraction; storms fire
-//    FaultInjector campaigns from the trace clock; an epoch-cadence
-//    autoscaler re-cuts PE blocks (core/fleet rescale_shard_blocks) and
-//    migrates tenants off overloaded shards, charging migrations off the
-//    critical path. All percentile reporting is streaming (core/sketch),
-//    so memory stays bounded at any request count.
+//  * run_campaign() is the one-mesh case of the campaign engine in
+//    core/cluster (run_cluster with one mesh, no outages, failover off):
+//    an analytic fleet model at millions of requests with per-shard FIFO
+//    clocks, service priced by the shard's PE block and its injector's
+//    drift multiplier and fault fraction, storms firing FaultInjector
+//    campaigns from the trace clock, and an epoch-cadence autoscaler that
+//    re-cuts PE blocks (core/fleet rescale_shard_blocks) and migrates
+//    tenants off overloaded shards off the critical path. All percentile
+//    reporting is streaming (core/sketch), so memory stays bounded at any
+//    request count.
 //  * The whole campaign state rides checkpoint payload v6
-//    (core/checkpoint), so a campaign can crash mid-storm and resume
-//    bitwise; wrong-geometry checkpoints are refused via the fingerprint
-//    fields of CampaignState.
+//    (core/checkpoint) in "campaign" frames without a cluster tail, so a
+//    campaign can crash mid-storm and resume bitwise; wrong-geometry
+//    checkpoints are refused via the fingerprint fields of CampaignState.
 #pragma once
 
 #include <cstdint>
@@ -214,44 +215,11 @@ class ArrivalGenerator {
   std::size_t next_boundary_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Campaign pricing/placement primitives, exported for core/cluster. The
-// cluster engine runs the identical analytic serve over a multi-mesh shard
-// set, so these must be the *same functions* — a single-mesh cluster is
-// bitwise-identical to run_campaign only because both walk the same
-// expressions in the same order.
-
 /// Analytic service rate of one shard block: inter-layer pipelining across
 /// the block's PEs speeds back-to-back service up linearly in the extras.
+/// build_trace calibrates offered load against it; the campaign engine
+/// (core/cluster) divides service by it.
 double campaign_shard_speed(int pes) noexcept;
-
-/// Price one serve of tenant `t` on a `pes`-wide block under the given
-/// drift multiplier and unusable-cell fraction — exactly the expressions
-/// run_campaign serves with (drift inflates service and energy, faults add
-/// retry overhead on both, the block speed divides service).
-void campaign_price(const ScenarioTenant& t, double drift_mult,
-                    double fault_fraction, int pes, double& service_s,
-                    double& energy_j) noexcept;
-
-/// Reprice an already-priced serve for the degraded out-of-band path (shed
-/// or breaker-open fallback): shorter, cheaper, off the shard FIFO.
-void campaign_degrade(double& service_s, double& energy_j) noexcept;
-
-/// Contiguous shard blocks with the given per-shard PE counts, cut along
-/// the snake fill order — the shape rescale_shard_blocks produces, so the
-/// counts alone reconstruct the blocks on resume.
-std::vector<std::vector<int>> campaign_blocks_from_counts(
-    const arch::PimConfig& pim, const std::vector<std::int32_t>& counts);
-
-/// Demand-balanced contiguous initial placement: tenant index ranges map
-/// to shards in order, boundaries chosen so each shard's expected demand
-/// share matches its PE share.
-std::vector<std::int32_t> campaign_initial_placement(
-    const ScenarioTrace& trace, const std::vector<std::int32_t>& shard_pes);
-
-/// Per-PE demand bar the tenant-migration loop flattens toward after a
-/// rescale (which equalizes only to 1-PE granularity).
-inline constexpr double kMigrateResidualThreshold = 1.05;
 
 /// Durable campaign-engine state (checkpoint payload v6). The fingerprint
 /// block gates resume — a checkpoint only reinstates onto the identical
@@ -371,13 +339,14 @@ struct CampaignResult {
   std::string summary(bool include_trajectory = true) const;
 };
 
-/// Run the campaign from the start. Deterministic and single-threaded.
+/// Run the campaign from the start on one mesh. Deterministic and
+/// single-threaded; defined in core/cluster.cpp beside the engine.
 CampaignResult run_campaign(const CampaignConfig& config);
 
 /// Resume an interrupted campaign from its checkpoint pair. nullopt when
-/// no valid checkpoint exists or its fingerprint does not match `config`
-/// (different seed/requests/tenants/shards/epochs/autoscale — the
-/// wrong-geometry refusal).
+/// no valid campaign checkpoint exists (a cluster frame is refused) or its
+/// fingerprint does not match `config` (different seed/requests/tenants/
+/// shards/epochs/autoscale/sojourn_cap — the wrong-geometry refusal).
 std::optional<CampaignResult> resume_campaign(const CampaignConfig& config);
 
 /// Export the trace's first `sc.horizon.runs` arrivals into an explicit

@@ -18,6 +18,7 @@
 
 #include "common/binary_io.hpp"
 #include "common/rng.hpp"
+#include "core/cluster.hpp"
 #include "core/fleet.hpp"
 #include "core/resilience.hpp"
 #include "core/scenario.hpp"
@@ -352,6 +353,16 @@ TEST(Scenario, ResumeRefusesWrongGeometry) {
     CampaignConfig wrong = cfg;
     wrong.sojourn_cap += 1;
     EXPECT_FALSE(resume_campaign(wrong).has_value());
+  }
+  {
+    // A campaign frame has no cluster tail, so the matching one-mesh
+    // cluster still refuses it.
+    ClusterConfig wrong;
+    wrong.campaign = cfg;
+    wrong.meshes = 1;
+    wrong.mesh_outages = 0;
+    wrong.failover.enabled = 0;
+    EXPECT_FALSE(resume_cluster(wrong).has_value());
   }
   // The unmodified geometry still resumes.
   EXPECT_TRUE(resume_campaign(cfg).has_value());

@@ -582,14 +582,9 @@ int cmd_resume(const std::string& base, int argc, char** argv) {
   return 0;
 }
 
-int cmd_campaign(int argc, char** argv) {
-  core::CampaignConfig cfg;
-  // A scenario file seeds the configuration; flags override it.
-  if (const auto file = flag_value(argc, argv, "--file")) {
-    auto parsed = core::parse_scenario_file(*file);
-    if (!parsed) return 1;
-    cfg = std::move(*parsed);
-  }
+/// The campaign flags `campaign` and `cluster` share, applied over `cfg`
+/// (a scenario file may have seeded it). False on a malformed --autoscale.
+bool apply_campaign_flags(int argc, char** argv, core::CampaignConfig& cfg) {
   if (const auto v = flag_value(argc, argv, "--seed"))
     cfg.scenario.seed = std::strtoull(v->c_str(), nullptr, 10);
   if (const auto v = flag_value(argc, argv, "--tenants"))
@@ -603,7 +598,7 @@ int cmd_campaign(int argc, char** argv) {
   if (const auto v = flag_value(argc, argv, "--autoscale")) {
     if (*v != "on" && *v != "off" && *v != "1" && *v != "0") {
       std::fprintf(stderr, "bad --autoscale (on|off|1|0)\n");
-      return 1;
+      return false;
     }
     cfg.autoscale.enabled = (*v == "on" || *v == "1") ? 1 : 0;
   }
@@ -613,39 +608,69 @@ int cmd_campaign(int argc, char** argv) {
     cfg.checkpoint.every_runs = std::atoi(v->c_str());
   if (const auto v = flag_value(argc, argv, "--max-requests"))
     cfg.max_requests = std::atoll(v->c_str());
+  return true;
+}
 
+const core::CampaignResult& campaign_of(const core::CampaignResult& r) {
+  return r;
+}
+const core::CampaignResult& campaign_of(const core::ClusterResult& r) {
+  return r.campaign;
+}
+
+/// The tail `campaign` and `cluster` share: run (or, with --resume, resume
+/// from --checkpoint), print the summary, and after a --max-requests crash
+/// print how to resume. `check` lists the flags a resume must repeat.
+template <typename Config, typename Result>
+int run_or_resume(int argc, char** argv, const Config& cfg,
+                  const core::CampaignConfig& camp, const char* cmd,
+                  const char* check, Result (*run)(const Config&),
+                  std::optional<Result> (*resume_fn)(const Config&)) {
   bool resume = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--resume") == 0) resume = true;
 
-  std::optional<core::CampaignResult> result;
+  std::optional<Result> result;
   if (resume) {
-    if (cfg.checkpoint.base_path.empty()) {
+    if (camp.checkpoint.base_path.empty()) {
       std::fprintf(stderr, "--resume needs --checkpoint BASE\n");
       return 1;
     }
-    result = core::resume_campaign(cfg);
+    result = resume_fn(cfg);
     if (!result) {
       std::fprintf(stderr,
-                   "no matching campaign checkpoint at %s.{a,b} "
+                   "no matching %s checkpoint at %s.{a,b} "
                    "(check --seed/--tenants/--requests/--shards/--epochs/"
-                   "--autoscale)\n",
-                   cfg.checkpoint.base_path.c_str());
+                   "%s)\n",
+                   cmd, camp.checkpoint.base_path.c_str(), check);
       return 1;
     }
   } else {
-    result = core::run_campaign(cfg);
+    result = run(cfg);
   }
   std::fputs(result->summary().c_str(), stdout);
-  if (cfg.max_requests > 0 &&
-      result->requests() < cfg.scenario.requests &&
-      !cfg.checkpoint.base_path.empty())
+  const std::int64_t served = campaign_of(*result).requests();
+  if (camp.max_requests > 0 && served < camp.scenario.requests &&
+      !camp.checkpoint.base_path.empty())
     std::printf(
         "stopped after %lld requests (simulated crash); resume with:\n"
-        "  odin_cli campaign --resume --checkpoint %s [same flags]\n",
-        static_cast<long long>(result->requests()),
-        cfg.checkpoint.base_path.c_str());
+        "  odin_cli %s --resume --checkpoint %s [same flags]\n",
+        static_cast<long long>(served), cmd,
+        camp.checkpoint.base_path.c_str());
   return 0;
+}
+
+int cmd_campaign(int argc, char** argv) {
+  core::CampaignConfig cfg;
+  // A scenario file seeds the configuration; flags override it.
+  if (const auto file = flag_value(argc, argv, "--file")) {
+    auto parsed = core::parse_scenario_file(*file);
+    if (!parsed) return 1;
+    cfg = std::move(*parsed);
+  }
+  if (!apply_campaign_flags(argc, argv, cfg)) return 1;
+  return run_or_resume(argc, argv, cfg, cfg, "campaign", "--autoscale",
+                       &core::run_campaign, &core::resume_campaign);
 }
 
 int cmd_cluster(int argc, char** argv) {
@@ -656,16 +681,6 @@ int cmd_cluster(int argc, char** argv) {
     if (!parsed) return 1;
     cfg = std::move(*parsed);
   }
-  if (const auto v = flag_value(argc, argv, "--seed"))
-    cfg.campaign.scenario.seed = std::strtoull(v->c_str(), nullptr, 10);
-  if (const auto v = flag_value(argc, argv, "--tenants"))
-    cfg.campaign.scenario.tenants = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--requests"))
-    cfg.campaign.scenario.requests = std::atoll(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--shards"))
-    cfg.campaign.shards = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--epochs"))
-    cfg.campaign.epochs = std::atoi(v->c_str());
   if (const auto v = flag_value(argc, argv, "--meshes"))
     cfg.meshes = std::atoi(v->c_str());
   if (const auto v = flag_value(argc, argv, "--replication-epochs"))
@@ -679,52 +694,10 @@ int cmd_cluster(int argc, char** argv) {
   }
   if (const auto v = flag_value(argc, argv, "--mesh-outages"))
     cfg.mesh_outages = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--autoscale")) {
-    if (*v != "on" && *v != "off" && *v != "1" && *v != "0") {
-      std::fprintf(stderr, "bad --autoscale (on|off|1|0)\n");
-      return 1;
-    }
-    cfg.campaign.autoscale.enabled = (*v == "on" || *v == "1") ? 1 : 0;
-  }
-  if (const auto v = flag_value(argc, argv, "--checkpoint"))
-    cfg.campaign.checkpoint.base_path = *v;
-  if (const auto v = flag_value(argc, argv, "--every"))
-    cfg.campaign.checkpoint.every_runs = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--max-requests"))
-    cfg.campaign.max_requests = std::atoll(v->c_str());
-
-  bool resume = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--resume") == 0) resume = true;
-
-  std::optional<core::ClusterResult> result;
-  if (resume) {
-    if (cfg.campaign.checkpoint.base_path.empty()) {
-      std::fprintf(stderr, "--resume needs --checkpoint BASE\n");
-      return 1;
-    }
-    result = core::resume_cluster(cfg);
-    if (!result) {
-      std::fprintf(stderr,
-                   "no matching cluster checkpoint at %s.{a,b} "
-                   "(check --seed/--tenants/--requests/--shards/--epochs/"
-                   "--meshes/--replication-epochs/--failover)\n",
-                   cfg.campaign.checkpoint.base_path.c_str());
-      return 1;
-    }
-  } else {
-    result = core::run_cluster(cfg);
-  }
-  std::fputs(result->summary().c_str(), stdout);
-  if (cfg.campaign.max_requests > 0 &&
-      result->campaign.requests() < cfg.campaign.scenario.requests &&
-      !cfg.campaign.checkpoint.base_path.empty())
-    std::printf(
-        "stopped after %lld requests (simulated crash); resume with:\n"
-        "  odin_cli cluster --resume --checkpoint %s [same flags]\n",
-        static_cast<long long>(result->campaign.requests()),
-        cfg.campaign.checkpoint.base_path.c_str());
-  return 0;
+  if (!apply_campaign_flags(argc, argv, cfg.campaign)) return 1;
+  return run_or_resume(argc, argv, cfg, cfg.campaign, "cluster",
+                       "--meshes/--replication-epochs/--failover",
+                       &core::run_cluster, &core::resume_cluster);
 }
 
 int usage() {
