@@ -81,6 +81,7 @@ class ByteReader {
 
   bool ok() const noexcept { return ok_; }
   bool exhausted() const noexcept { return pos_ >= bytes_.size(); }
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
 
  private:
   std::string_view bytes_;
@@ -96,11 +97,13 @@ void encode_vec(const std::vector<T>& v, ByteWriter& out, Fn enc) {
   for (const T& x : v) enc(x);
 }
 
-/// Read an encode_vec element count; false on overrun or on a count past
-/// 2^24 (a corrupt frame, not a real vector).
+/// Read an encode_vec element count; false on overrun, on a count past
+/// 2^24 or on one larger than the bytes left (every element takes at least
+/// one byte): a corrupt frame, not a real vector, so nothing is reserved
+/// or looped over for it.
 inline bool vec_count(ByteReader& in, std::uint64_t& n) {
   n = in.u64();
-  return in.ok() && n <= (1u << 24);
+  return in.ok() && n <= (1u << 24) && n <= in.remaining();
 }
 
 /// Inverse of encode_vec for elements `dec()` reads whole: appends

@@ -58,6 +58,8 @@ struct EnergyLatency {
   }
   /// Energy-delay product, the paper's headline metric.
   constexpr double edp() const noexcept { return energy_j * latency_s; }
+
+  constexpr bool operator==(const EnergyLatency&) const noexcept = default;
 };
 
 }  // namespace odin::common

@@ -101,8 +101,8 @@ struct ClusterConfig {
 /// Durable cluster-engine state (checkpoint payload v7). The fingerprint
 /// block extends CampaignState's resume gate to the cluster geometry; the
 /// rest positions the outage/replication replay and carries the failover
-/// ledgers. A v6 frame decodes to the defaults: one mesh, nothing fired,
-/// empty per-mesh/per-tenant vectors (sized on first use).
+/// ledgers. The defaults are one mesh, nothing fired and empty
+/// per-mesh/per-tenant vectors (sized on first use).
 struct ClusterState {
   // Fingerprint.
   std::int32_t meshes = 1;

@@ -197,7 +197,7 @@ struct ControllerSnapshot {
   double eta_scale = 1.0;
   int retry_count = 0;
   int degraded_runs = 0;
-  /// Wear-leveling state (payload v4; zero for older checkpoints).
+  /// Wear-leveling state.
   int wear_deferred_reprograms = 0;
   int retired_seen = 0;
   /// Guardrail state.

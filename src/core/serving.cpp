@@ -42,137 +42,15 @@ common::EnergyLatency ServingResult::total() const noexcept {
   return t;
 }
 
-int ServingResult::total_mismatches() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.mismatches;
-  return n;
-}
-
-int ServingResult::total_runs() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.runs;
-  return n;
-}
-
-int ServingResult::total_retries() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.retries;
-  return n;
-}
-
-int ServingResult::total_degraded_runs() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.degraded_runs;
-  return n;
-}
-
-int ServingResult::total_updates_accepted() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.updates_accepted;
-  return n;
-}
-
-int ServingResult::total_updates_rejected() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.updates_rejected;
-  return n;
-}
-
-int ServingResult::total_updates_rolled_back() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.updates_rolled_back;
-  return n;
-}
-
-long long ServingResult::total_buffer_dropped() const noexcept {
-  long long n = 0;
-  for (const TenantStats& s : tenants) n += s.buffer_dropped;
-  return n;
-}
-
-long long ServingResult::total_buffer_quarantined() const noexcept {
-  long long n = 0;
-  for (const TenantStats& s : tenants) n += s.buffer_quarantined;
-  return n;
-}
-
-int ServingResult::total_shed_runs() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.shed_runs;
-  return n;
-}
-
-int ServingResult::total_breaker_open_runs() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.breaker_open_runs;
-  return n;
-}
-
-int ServingResult::total_deadline_misses() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.deadline_misses;
-  return n;
-}
-
-int ServingResult::total_deferred_reprograms() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.deferred_reprograms;
-  return n;
-}
-
-int ServingResult::total_searches_truncated() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.searches_truncated;
-  return n;
-}
-
-int ServingResult::total_breaker_opens() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.breaker_opens;
-  return n;
-}
-
-int ServingResult::total_breaker_reopens() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.breaker_reopens;
-  return n;
-}
-
-int ServingResult::total_breaker_probes() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.breaker_probes;
-  return n;
-}
-
-int ServingResult::total_breaker_closes() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.breaker_closes;
-  return n;
-}
-
-int ServingResult::total_watchdog_stalls() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.watchdog_stalls;
-  return n;
-}
-
-int ServingResult::total_batches_formed() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.batches_formed;
-  return n;
-}
-
-int ServingResult::total_batch_members() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.batch_members;
-  return n;
-}
-
-int ServingResult::total_batch_slo_capped() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.batch_slo_capped;
-  return n;
-}
+#define ODIN_TOTAL_DEF(type, field, total)                 \
+  ODIN_IF_SUM_##total(                                     \
+      type ServingResult::total_##field() const noexcept { \
+        type n{};                                          \
+        for (const TenantStats& s : tenants) n += s.field; \
+        return n;                                          \
+      })
+ODIN_TENANT_STATS(ODIN_TOTAL_DEF)
+#undef ODIN_TOTAL_DEF
 
 int ServingResult::max_batch() const noexcept {
   int n = 0;
@@ -187,30 +65,6 @@ double ServingResult::mean_batch_occupancy() const noexcept {
          static_cast<double>(formed);
 }
 
-int ServingResult::total_rows_remapped() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.rows_remapped;
-  return n;
-}
-
-int ServingResult::total_crossbars_retired() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.crossbars_retired;
-  return n;
-}
-
-long long ServingResult::total_writes_leveled() const noexcept {
-  long long n = 0;
-  for (const TenantStats& s : tenants) n += s.writes_leveled;
-  return n;
-}
-
-int ServingResult::total_wear_deferred_reprograms() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.wear_deferred_reprograms;
-  return n;
-}
-
 int ServingResult::spares_remaining() const noexcept {
   // The pool is device-global: every served tenant's gauge reads the same
   // shared injector, so the smallest nonzero observation is the current
@@ -221,18 +75,6 @@ int ServingResult::spares_remaining() const noexcept {
         (gauge == 0 || s.spares_remaining < gauge))
       gauge = s.spares_remaining;
   return gauge;
-}
-
-double ServingResult::total_service_s() const noexcept {
-  double t = 0.0;
-  for (const TenantStats& s : tenants) t += s.service_s;
-  return t;
-}
-
-int ServingResult::total_pipelined_runs() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.pipelined_runs;
-  return n;
 }
 
 namespace {
@@ -899,8 +741,7 @@ std::optional<ServingResult> resume_with_odin(
       return std::nullopt;
     // A different retention cap would make the resumed walk's sojourn
     // vectors diverge from the uninterrupted run's, breaking the bitwise
-    // resume guarantee (v6 frames carry the cap; older frames decode as 0,
-    // matching the only cap that existed when they were written).
+    // resume guarantee.
     if (ckpt.sojourn_cap !=
         static_cast<std::uint64_t>(config.resilience.sojourn_sample_cap))
       return std::nullopt;

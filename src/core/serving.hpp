@@ -85,77 +85,97 @@ struct ServingConfig {
   std::vector<std::size_t> segment_sizes;
 };
 
+/// Every TenantStats field, listed once in checkpoint payload wire order as
+/// X(type, name, total). `total` is `sum` for fields ServingResult sums
+/// across tenants as total_<name>(), `none` otherwise. The table generates
+/// the struct fields, those accessors and the per-tenant checkpoint codec,
+/// so adding a counter is one line here.
+#define ODIN_TENANT_STATS(X)                                                  \
+  X(std::string, name, none)                                                  \
+  X(int, runs, sum)                                                           \
+  X(int, reprograms, none) /* drift-triggered only (switch programming      \
+                              separate) */                                    \
+  X(int, mismatches, sum)                                                     \
+  X(int, retries, sum)       /* extra write-verify attempts on this tenant */ \
+  X(int, degraded_runs, sum) /* runs this tenant served in degraded mode */   \
+  /* Update-guardrail surface (zero while the guard is disabled). */          \
+  X(int, updates_accepted, sum)                                               \
+  X(int, updates_rejected, sum)                                               \
+  X(int, updates_rolled_back, sum)                                            \
+  /* Replay-buffer observability: examples dropped at saturation and        \
+     entries held in quarantine while serving this tenant. */                 \
+  X(long long, buffer_dropped, sum)                                           \
+  X(long long, buffer_quarantined, sum)                                       \
+  X(common::EnergyLatency, inference, none)                                   \
+  X(common::EnergyLatency, reprogram, none)                                   \
+  /* Resilience surface (all zero while resilience is disabled). A "run"    \
+     below is one arrival of this tenant's traffic; every arrival is served \
+     exactly once, either fully (controller + search) or by the degraded    \
+     fallback (last-known-good homogeneous OU, no search, no reprogram). */   \
+  X(double, slo_s, none)   /* latency SLO in force (0 = none/disabled) */     \
+  X(int, shed_runs, sum)   /* admission-control sheds (queue overflow) */     \
+  X(int, breaker_open_runs, sum) /* fallback serves while the breaker held */ \
+  X(int, deadline_misses, sum) /* full serves whose sojourn overran the SLO */\
+  X(int, deferred_reprograms, sum) /* campaigns pushed out by the deadline */ \
+  X(int, deadline_stopped_retries, none) /* retry loops cut short by the    \
+                                            budget */                         \
+  X(int, searches_truncated, sum) /* layer searches stopped at best-so-far */ \
+  X(int, breaker_opens, sum)      /* Closed -> Open trips */                  \
+  X(int, breaker_reopens, sum)    /* failed half-open probes */               \
+  X(int, breaker_probes, sum)     /* half-open probe runs granted */          \
+  X(int, breaker_closes, sum)     /* recoveries back to Closed */             \
+  X(int, watchdog_stalls, sum)    /* hung runs cancelled by the watchdog */   \
+  /* Per-served-run sojourn (queue wait + service latency), in arrival      \
+     order; feeds the percentile reporting below. Retention is bounded by   \
+     ResilienceConfig::sojourn_sample_cap (0 = keep all). */                  \
+  X(std::vector<double>, sojourn_s, none)                                     \
+  /* Batch-formation surface (all zero while batching is disabled). A       \
+     batch is one pipelined pass over >= 1 queued same-tenant runs. */        \
+  X(int, batches_formed, sum)   /* pipelined passes (incl. size-1 batches) */ \
+  X(int, batch_members, sum)    /* runs served inside those passes */         \
+  X(int, max_batch, none)       /* largest batch this tenant saw */           \
+  X(int, batch_slo_capped, sum) /* batches stopped short by a member's      \
+                                   slack */                                   \
+  /* Wear-leveling surface (all zero without a leveling-enabled injector).  \
+     Deltas of the shared device's leveling counters accrued while this     \
+     tenant's segments were being served. */                                  \
+  X(int, rows_remapped, sum)      /* worn rows absorbed by the spare pool */  \
+  X(int, crossbars_retired, sum)  /* pool exhaustions (tenant migrated) */    \
+  X(long long, writes_leveled, sum) /* row writes redirected off-identity */  \
+  X(int, wear_deferred_reprograms, sum) /* campaigns deferred while         \
+                                           wear-hot */                        \
+  /* Gauge, not a delta: spare rows left in the device's current pool after \
+     this tenant's most recent segment. */                                    \
+  X(int, spares_remaining, none)                                              \
+  /* Fleet surface (zero outside a multi-shard fleet): wall-clock busy time \
+     this tenant held its shard's device, and runs that were served at the  \
+     pipelined (overlapped) rate because the pipeline was primed. */          \
+  X(double, service_s, sum)                                                   \
+  X(int, pipelined_runs, sum)                                                 \
+  /* Streaming percentile sketch fed by *every* sojourn sample, including   \
+     those the cap dropped from the vector. */                                \
+  X(SojournSketch, sojourn_sketch, none)                                      \
+  X(long long, sojourn_dropped, none) /* samples the cap kept out of        \
+                                         sojourn_s (0 while uncapped) */      \
+  /* Cluster failover surface (zero outside a multi-mesh cluster —          \
+     core/cluster.hpp). */                                                    \
+  X(int, failovers, none)            /* evacuations off a lost mesh */        \
+  X(int, restored_stale, none)  /* restores from a replica missing serves */  \
+  X(long long, lost_runs, none)      /* serves newer than the restored      \
+                                        replica */                            \
+  X(long long, outage_dropped, none) /* arrivals dropped while              \
+                                        dark/restoring */                     \
+  X(double, rpo_s, none)             /* worst replica staleness at failover */\
+  X(double, rto_s, none)             /* worst outage-to-ready recovery time */
+
+/// Expands its arguments for `sum` rows of ODIN_TENANT_STATS only.
+#define ODIN_IF_SUM_sum(...) __VA_ARGS__
+#define ODIN_IF_SUM_none(...)
+
 struct TenantStats {
-  std::string name;
-  int runs = 0;
-  int reprograms = 0;  ///< drift-triggered only (switch programming separate)
-  int mismatches = 0;
-  int retries = 0;        ///< extra write-verify attempts on this tenant
-  int degraded_runs = 0;  ///< runs this tenant served in degraded mode
-  /// Update-guardrail surface (zero while the guard is disabled).
-  int updates_accepted = 0;
-  int updates_rejected = 0;
-  int updates_rolled_back = 0;
-  /// Replay-buffer observability: examples dropped at saturation and
-  /// entries held in quarantine while serving this tenant.
-  long long buffer_dropped = 0;
-  long long buffer_quarantined = 0;
-  /// Resilience surface (all zero while resilience is disabled). A "run"
-  /// below is one arrival of this tenant's traffic; every arrival is served
-  /// exactly once, either fully (controller + search) or by the degraded
-  /// fallback (last-known-good homogeneous OU, no search, no reprogram).
-  double slo_s = 0.0;            ///< latency SLO in force (0 = none/disabled)
-  int shed_runs = 0;             ///< admission-control sheds (queue overflow)
-  int breaker_open_runs = 0;     ///< fallback serves while the breaker held
-  int deadline_misses = 0;       ///< full serves whose sojourn overran the SLO
-  int deferred_reprograms = 0;   ///< campaigns pushed out by the deadline
-  int deadline_stopped_retries = 0;  ///< retry loops cut short by the budget
-  int searches_truncated = 0;    ///< layer searches stopped at best-so-far
-  int breaker_opens = 0;         ///< Closed -> Open trips
-  int breaker_reopens = 0;       ///< failed half-open probes
-  int breaker_probes = 0;        ///< half-open probe runs granted
-  int breaker_closes = 0;        ///< recoveries back to Closed
-  int watchdog_stalls = 0;       ///< hung runs cancelled by the watchdog
-  /// Batch-formation surface (all zero while batching is disabled). A
-  /// batch is one pipelined pass over >= 1 queued same-tenant runs.
-  int batches_formed = 0;   ///< pipelined passes (including size-1 batches)
-  int batch_members = 0;    ///< runs served inside those passes
-  int max_batch = 0;        ///< largest batch this tenant saw
-  int batch_slo_capped = 0; ///< batches stopped short by a member's slack
-  /// Wear-leveling surface (all zero without a leveling-enabled injector).
-  /// Deltas of the shared device's leveling counters accrued while this
-  /// tenant's segments were being served.
-  int rows_remapped = 0;      ///< worn rows absorbed by the spare pool
-  int crossbars_retired = 0;  ///< pool exhaustions (tenant migrated)
-  long long writes_leveled = 0;      ///< row writes redirected off-identity
-  int wear_deferred_reprograms = 0;  ///< campaigns deferred while wear-hot
-  /// Gauge, not a delta: spare rows left in the device's current pool after
-  /// this tenant's most recent segment.
-  int spares_remaining = 0;
-  /// Fleet surface (zero outside a multi-shard fleet): wall-clock busy time
-  /// this tenant held its shard's device, and runs that were served at the
-  /// pipelined (overlapped) rate because the pipeline was primed.
-  double service_s = 0.0;
-  int pipelined_runs = 0;
-  /// Cluster failover surface (zero outside a multi-mesh cluster —
-  /// core/cluster.hpp; rides checkpoint payload v7).
-  int failovers = 0;             ///< evacuations off a lost mesh
-  int restored_stale = 0;        ///< restores from a replica missing serves
-  long long lost_runs = 0;       ///< serves newer than the restored replica
-  long long outage_dropped = 0;  ///< arrivals dropped while dark/restoring
-  double rpo_s = 0.0;            ///< worst replica staleness at failover
-  double rto_s = 0.0;            ///< worst outage-to-ready recovery time
-  /// Per-served-run sojourn (queue wait + service latency), in arrival
-  /// order; feeds the percentile reporting below. Retention is bounded by
-  /// ResilienceConfig::sojourn_sample_cap (0 = keep all).
-  std::vector<double> sojourn_s;
-  /// Streaming percentile sketch fed by *every* sojourn sample, including
-  /// those the cap dropped from the vector; rides checkpoint payload v6.
-  SojournSketch sojourn_sketch;
-  /// Samples the cap kept out of sojourn_s (0 while uncapped).
-  long long sojourn_dropped = 0;
-  common::EnergyLatency inference;
-  common::EnergyLatency reprogram;
+#define ODIN_TENANT_FIELD(type, name, total) type name{};
+  ODIN_TENANT_STATS(ODIN_TENANT_FIELD)
+#undef ODIN_TENANT_FIELD
 
   /// Record one sojourn sample under retention cap `cap` (0 = unbounded):
   /// always feeds the sketch, appends to the vector only below the cap.
@@ -168,6 +188,8 @@ struct TenantStats {
   /// Deadline slack at the same rank: slo_s - sojourn_percentile(p)
   /// (negative = the SLO was missed at that rank; 0 when no SLO was set).
   double slack_percentile(double p) const;
+
+  bool operator==(const TenantStats&) const = default;
 };
 
 struct ServingResult {
@@ -182,45 +204,19 @@ struct ServingResult {
 
   common::EnergyLatency total() const noexcept;
   double total_edp() const noexcept { return total().edp(); }
-  int total_mismatches() const noexcept;
-  int total_runs() const noexcept;
-  int total_retries() const noexcept;
-  int total_degraded_runs() const noexcept;
-  int total_updates_accepted() const noexcept;
-  int total_updates_rejected() const noexcept;
-  int total_updates_rolled_back() const noexcept;
-  long long total_buffer_dropped() const noexcept;
-  long long total_buffer_quarantined() const noexcept;
-  /// Resilience totals (all zero while resilience is disabled).
-  int total_shed_runs() const noexcept;
-  int total_breaker_open_runs() const noexcept;
-  int total_deadline_misses() const noexcept;
-  int total_deferred_reprograms() const noexcept;
-  int total_searches_truncated() const noexcept;
-  int total_breaker_opens() const noexcept;
-  int total_breaker_reopens() const noexcept;
-  int total_breaker_probes() const noexcept;
-  int total_breaker_closes() const noexcept;
-  int total_watchdog_stalls() const noexcept;
-  /// Batch-formation totals (zero while batching is disabled).
-  int total_batches_formed() const noexcept;
-  int total_batch_members() const noexcept;
-  int total_batch_slo_capped() const noexcept;
+  /// total_<name>() for every `sum` field of ODIN_TENANT_STATS: the field
+  /// summed over tenants (zero while its surface is disabled).
+#define ODIN_TOTAL_DECL(type, name, total) \
+  ODIN_IF_SUM_##total(type total_##name() const noexcept;)
+  ODIN_TENANT_STATS(ODIN_TOTAL_DECL)
+#undef ODIN_TOTAL_DECL
   /// Largest batch formed anywhere; 0 when batching never ran.
   int max_batch() const noexcept;
   /// Mean members per formed batch (the occupancy figure; 0 when none).
   double mean_batch_occupancy() const noexcept;
-  /// Wear-leveling totals (zero while leveling is disabled).
-  int total_rows_remapped() const noexcept;
-  int total_crossbars_retired() const noexcept;
-  long long total_writes_leveled() const noexcept;
-  int total_wear_deferred_reprograms() const noexcept;
   /// Spare rows left in the device's current pool (the smallest gauge any
   /// served tenant observed; 0 while leveling is disabled).
   int spares_remaining() const noexcept;
-  /// Fleet totals (zero outside a multi-shard fleet).
-  double total_service_s() const noexcept;
-  int total_pipelined_runs() const noexcept;
 };
 
 /// Serve `tenants` (non-owning; must outlive the call) with one adapting

@@ -220,8 +220,8 @@ std::optional<CrossbarHealth> decode_health(common::ByteReader& in) {
   health.fault_fraction = in.f64();
   health.worst_window_fraction = in.f64();
   health.degraded = in.boolean();
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count > (1u << 24)) return std::nullopt;
+  std::uint64_t count = 0;
+  if (!common::vec_count(in, count)) return std::nullopt;
   health.windows.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     OuWindowHealth w;

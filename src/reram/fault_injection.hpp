@@ -162,8 +162,7 @@ class FaultInjector {
     int stuck_cells = 0;
     int failed_wordlines = 0;
     int failed_bitlines = 0;
-    /// Retired-crossbar count (0 for pre-leveling checkpoints; encoded only
-    /// in payload v4 frames).
+    /// Retired-crossbar count (0 while leveling is disabled).
     int crossbars_retired = 0;
   };
   WearState wear_state() const noexcept {

@@ -45,17 +45,17 @@ std::optional<WearMap> decode_wear_map(common::ByteReader& in) {
   map.rotation = in.i64();
   map.rows_remapped = in.i64();
   map.writes_leveled = in.i64();
-  const std::uint64_t writes = in.u64();
-  if (!in.ok() || writes > (1u << 24)) return std::nullopt;
+  std::uint64_t writes = 0;
+  if (!common::vec_count(in, writes)) return std::nullopt;
   map.row_writes.reserve(writes);
   for (std::uint64_t i = 0; i < writes; ++i) map.row_writes.push_back(in.i64());
-  const std::uint64_t retired = in.u64();
-  if (!in.ok() || retired > (1u << 24)) return std::nullopt;
+  std::uint64_t retired = 0;
+  if (!common::vec_count(in, retired)) return std::nullopt;
   map.retired.reserve(retired);
   for (std::uint64_t i = 0; i < retired; ++i)
     map.retired.push_back(in.boolean() ? 1 : 0);
-  const std::uint64_t remap = in.u64();
-  if (!in.ok() || remap > (1u << 24)) return std::nullopt;
+  std::uint64_t remap = 0;
+  if (!common::vec_count(in, remap)) return std::nullopt;
   map.remap.reserve(remap);
   for (std::uint64_t i = 0; i < remap; ++i) map.remap.push_back(in.i32());
   if (!in.ok()) return std::nullopt;

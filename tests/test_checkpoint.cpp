@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -436,77 +438,6 @@ TEST(Checkpoint, BothSlotsCorruptMeansNulloptNotCrash) {
   remove_slots(base);
 }
 
-/// A minimal-but-complete *version 1* payload, written field by field
-/// against the layout v1 shipped with (no resilience fields anywhere).
-/// Exists so a layout drift in the decoder's v1 path is caught even after
-/// every writer in the tree moved on to v2.
-std::string v1_payload() {
-  common::ByteWriter out;
-  out.u64(2);       // segment
-  out.u64(41);      // next_run
-  out.i32(6);       // segments
-  out.i32(120);     // horizon_runs
-  out.f64(1.0);     // t_start_s
-  out.f64(1e8);     // t_end_s
-  out.u64(1);       // tenant_names
-  out.str("TinyNet");
-  out.str("Odin");  // result.label
-  out.u64(1);       // result.tenants
-  {                 // one v1 tenant record
-    out.str("TinyNet");
-    out.i32(41);   // runs
-    out.i32(3);    // reprograms
-    out.i32(77);   // mismatches
-    out.i32(2);    // retries
-    out.i32(1);    // degraded_runs
-    out.i32(4);    // updates_accepted
-    out.i32(0);    // updates_rejected
-    out.i32(0);    // updates_rolled_back
-    out.i64(5);    // buffer_dropped
-    out.i64(0);    // buffer_quarantined
-    out.f64(1.25e-3);  // inference energy/latency
-    out.f64(3.5e-4);
-    out.f64(4.0e-3);  // reprogram energy/latency
-    out.f64(9.0e-4);
-  }
-  out.f64(2.0e-3);  // programming energy/latency
-  out.f64(1.0e-4);
-  out.i32(3);  // switches
-  out.i32(4);  // policy_updates
-  {            // controller snapshot
-    out.f64(12.5);    // programmed_at_s
-    out.i32(3);       // reprogram_count
-    out.i32(4);       // update_count
-    out.f64(1.0);     // health_fraction
-    out.boolean(false);
-    out.f64(1.0);     // eta_scale
-    out.i32(2);       // retry_count
-    out.i32(1);       // degraded_runs
-    out.i32(4);       // updates_accepted
-    out.i32(0);       // updates_rejected
-    out.i32(0);       // updates_rolled_back
-    out.i32(0);       // probation_left
-    out.i64(0);       // probation_mismatches
-    out.i64(0);       // probation_layers
-    out.f64(0.0);     // pre_update_rate
-    out.f64(0.0);     // mismatch_rate_ema
-    out.u64(0);       // buffer_entries
-    out.u64(0);       // buffer_quarantine
-    out.u64(0);       // last_update_batch
-    out.u64(5);       // buffer_dropped
-    out.u64(0);       // buffer_quarantine_hits
-    out.str("");      // policy_blob
-    out.str("");      // last_good_blob
-  }
-  out.boolean(false);  // has_faults
-  out.i32(0);          // wear x4
-  out.i32(0);
-  out.i32(0);
-  out.i32(0);
-  out.u64(0);  // health_maps
-  return out.bytes();
-}
-
 /// Frame a payload the way write_frame does, but with a caller-chosen
 /// version number (write_frame always stamps the current one).
 std::string frame_with_version(std::uint32_t version, std::uint64_t sequence,
@@ -525,621 +456,6 @@ std::string frame_with_version(std::uint32_t version, std::uint64_t sequence,
   header.u64(payload.size());
   header.u32(crc);
   return header.bytes() + payload;
-}
-
-TEST(Checkpoint, Version1FrameDecodesWithResilienceDefaults) {
-  const std::string path = temp_base("v1frame") + ".a";
-  write_file(path, frame_with_version(1, 9, v1_payload()));
-  const auto ckpt = load_checkpoint_file(path);
-  ASSERT_TRUE(ckpt.has_value());
-  EXPECT_EQ(ckpt->sequence, 9u);
-  // The v1 fields decode as written...
-  EXPECT_EQ(ckpt->segment, 2u);
-  EXPECT_EQ(ckpt->next_run, 41u);
-  EXPECT_EQ(ckpt->tenant_names, std::vector<std::string>{"TinyNet"});
-  ASSERT_EQ(ckpt->result.tenants.size(), 1u);
-  EXPECT_EQ(ckpt->result.tenants[0].mismatches, 77);
-  EXPECT_EQ(ckpt->controller.update_count, 4);
-  // ...and every field v1 predates comes back in the resilience-disabled
-  // default state: the walk resumes exactly as a pre-resilience build
-  // would have resumed it.
-  EXPECT_FALSE(ckpt->has_resilience);
-  EXPECT_EQ(ckpt->queue_capacity, 0u);
-  EXPECT_EQ(ckpt->busy_until_s, 0.0);
-  EXPECT_TRUE(ckpt->pending_runs.empty());
-  EXPECT_TRUE(ckpt->breakers.empty());
-  EXPECT_TRUE(ckpt->fallback_ous.empty());
-  EXPECT_EQ(ckpt->result.tenants[0].slo_s, 0.0);
-  EXPECT_EQ(ckpt->result.tenants[0].shed_runs, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].deadline_misses, 0);
-  EXPECT_TRUE(ckpt->result.tenants[0].sojourn_s.empty());
-  std::remove(path.c_str());
-}
-
-/// A minimal *version 3* payload: the v1 layout plus the v2 resilience
-/// fields and the v3 batching fingerprint, ending exactly where v3 ended —
-/// no wear-leveling tail. Pins the decoder's pre-v4 path.
-std::string v3_payload() {
-  common::ByteWriter out;
-  out.u64(2);       // segment
-  out.u64(41);      // next_run
-  out.i32(6);       // segments
-  out.i32(120);     // horizon_runs
-  out.f64(1.0);     // t_start_s
-  out.f64(1e8);     // t_end_s
-  out.u64(1);       // tenant_names
-  out.str("TinyNet");
-  out.str("Odin");  // result.label
-  out.u64(1);       // result.tenants
-  {                 // one v3 tenant record
-    out.str("TinyNet");
-    out.i32(41);   // runs
-    out.i32(3);    // reprograms
-    out.i32(77);   // mismatches
-    out.i32(2);    // retries
-    out.i32(1);    // degraded_runs
-    out.i32(4);    // updates_accepted
-    out.i32(0);    // updates_rejected
-    out.i32(0);    // updates_rolled_back
-    out.i64(5);    // buffer_dropped
-    out.i64(0);    // buffer_quarantined
-    out.f64(1.25e-3);  // inference energy/latency
-    out.f64(3.5e-4);
-    out.f64(4.0e-3);  // reprogram energy/latency
-    out.f64(9.0e-4);
-    out.f64(0.0);  // v2: slo_s
-    out.i32(0);    // shed_runs
-    out.i32(0);    // breaker_open_runs
-    out.i32(0);    // deadline_misses
-    out.i32(0);    // deferred_reprograms
-    out.i32(0);    // deadline_stopped_retries
-    out.i32(0);    // searches_truncated
-    out.i32(0);    // breaker_opens
-    out.i32(0);    // breaker_reopens
-    out.i32(0);    // breaker_probes
-    out.i32(0);    // breaker_closes
-    out.i32(0);    // watchdog_stalls
-    out.u64(0);    // sojourn samples
-    out.i32(0);    // v3: batches_formed
-    out.i32(0);    // batch_members
-    out.i32(0);    // max_batch
-    out.i32(0);    // batch_slo_capped
-  }
-  out.f64(2.0e-3);  // programming energy/latency
-  out.f64(1.0e-4);
-  out.i32(3);  // switches
-  out.i32(4);  // policy_updates
-  {            // controller snapshot (unversioned, same as v1)
-    out.f64(12.5);    // programmed_at_s
-    out.i32(3);       // reprogram_count
-    out.i32(4);       // update_count
-    out.f64(1.0);     // health_fraction
-    out.boolean(false);
-    out.f64(1.0);     // eta_scale
-    out.i32(2);       // retry_count
-    out.i32(1);       // degraded_runs
-    out.i32(4);       // updates_accepted
-    out.i32(0);       // updates_rejected
-    out.i32(0);       // updates_rolled_back
-    out.i32(0);       // probation_left
-    out.i64(0);       // probation_mismatches
-    out.i64(0);       // probation_layers
-    out.f64(0.0);     // pre_update_rate
-    out.f64(0.0);     // mismatch_rate_ema
-    out.u64(0);       // buffer_entries
-    out.u64(0);       // buffer_quarantine
-    out.u64(0);       // last_update_batch
-    out.u64(5);       // buffer_dropped
-    out.u64(0);       // buffer_quarantine_hits
-    out.str("");      // policy_blob
-    out.str("");      // last_good_blob
-  }
-  out.boolean(true);  // has_faults
-  out.i32(7);         // wear: campaigns
-  out.i32(12);        // stuck_cells
-  out.i32(1);         // failed_wordlines
-  out.i32(0);         // failed_bitlines
-  out.u64(0);         // health_maps
-  out.boolean(false);  // v2: has_resilience
-  out.i32(0);          // shed_policy
-  out.u64(0);          // queue_capacity
-  out.f64(0.0);        // busy_until_s
-  out.u64(0);          // pending_runs
-  out.u64(0);          // breakers
-  out.u64(0);          // fallback_ous
-  out.boolean(false);  // v3: batching_enabled
-  out.i32(0);          // batch_cap
-  return out.bytes();
-}
-
-TEST(Checkpoint, Version3FrameDecodesWithEmptyWearMaps) {
-  const std::string path = temp_base("v3wear") + ".a";
-  write_file(path, frame_with_version(3, 9, v3_payload()));
-  const auto ckpt = load_checkpoint_file(path);
-  ASSERT_TRUE(ckpt.has_value());
-  // The v3 fields decode as written...
-  EXPECT_EQ(ckpt->segment, 2u);
-  EXPECT_TRUE(ckpt->has_faults);
-  EXPECT_EQ(ckpt->wear.campaigns, 7);
-  // ...and the whole wear-leveling surface comes back in the
-  // feature-disabled state a pre-leveling build would have resumed with:
-  // leveling off, retirement count zero, empty wear maps.
-  EXPECT_FALSE(ckpt->leveling_enabled);
-  EXPECT_EQ(ckpt->leveling_spare_rows, 0);
-  EXPECT_EQ(ckpt->leveling_wear_budget, 0.0);
-  EXPECT_EQ(ckpt->wear.crossbars_retired, 0);
-  EXPECT_EQ(ckpt->wear_seg_base_rows_remapped, 0);
-  EXPECT_EQ(ckpt->wear_seg_base_crossbars_retired, 0);
-  EXPECT_EQ(ckpt->wear_seg_base_writes_leveled, 0);
-  EXPECT_EQ(ckpt->controller.wear_deferred_reprograms, 0);
-  EXPECT_EQ(ckpt->controller.retired_seen, 0);
-  EXPECT_TRUE(ckpt->wear_maps.empty());
-  EXPECT_EQ(ckpt->result.tenants[0].rows_remapped, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].crossbars_retired, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].writes_leveled, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].spares_remaining, 0);
-  std::remove(path.c_str());
-}
-
-/// A minimal *version 4* payload: the v3 layout plus the wear-leveling
-/// tails, ending exactly where v4 ended — no fleet surface. Pins the
-/// decoder's pre-fleet path: a frame written by a single-shard build must
-/// resume as shard 0 of a 1-shard fleet with no service models.
-std::string v4_payload() {
-  common::ByteWriter out;
-  out.u64(2);       // segment
-  out.u64(41);      // next_run
-  out.i32(6);       // segments
-  out.i32(120);     // horizon_runs
-  out.f64(1.0);     // t_start_s
-  out.f64(1e8);     // t_end_s
-  out.u64(1);       // tenant_names
-  out.str("TinyNet");
-  out.str("Odin");  // result.label
-  out.u64(1);       // result.tenants
-  {                 // one v4 tenant record
-    out.str("TinyNet");
-    out.i32(41);   // runs
-    out.i32(3);    // reprograms
-    out.i32(77);   // mismatches
-    out.i32(2);    // retries
-    out.i32(1);    // degraded_runs
-    out.i32(4);    // updates_accepted
-    out.i32(0);    // updates_rejected
-    out.i32(0);    // updates_rolled_back
-    out.i64(5);    // buffer_dropped
-    out.i64(0);    // buffer_quarantined
-    out.f64(1.25e-3);  // inference energy/latency
-    out.f64(3.5e-4);
-    out.f64(4.0e-3);  // reprogram energy/latency
-    out.f64(9.0e-4);
-    out.f64(0.0);  // v2: slo_s
-    out.i32(0);    // shed_runs
-    out.i32(0);    // breaker_open_runs
-    out.i32(0);    // deadline_misses
-    out.i32(0);    // deferred_reprograms
-    out.i32(0);    // deadline_stopped_retries
-    out.i32(0);    // searches_truncated
-    out.i32(0);    // breaker_opens
-    out.i32(0);    // breaker_reopens
-    out.i32(0);    // breaker_probes
-    out.i32(0);    // breaker_closes
-    out.i32(0);    // watchdog_stalls
-    out.u64(0);    // sojourn samples
-    out.i32(0);    // v3: batches_formed
-    out.i32(0);    // batch_members
-    out.i32(0);    // max_batch
-    out.i32(0);    // batch_slo_capped
-    out.i32(6);    // v4: rows_remapped
-    out.i32(1);    // crossbars_retired
-    out.i64(384);  // writes_leveled
-    out.i32(2);    // wear_deferred_reprograms
-    out.i32(10);   // spares_remaining
-  }
-  out.f64(2.0e-3);  // programming energy/latency
-  out.f64(1.0e-4);
-  out.i32(3);  // switches
-  out.i32(4);  // policy_updates
-  {            // controller snapshot (unversioned, same as v1)
-    out.f64(12.5);    // programmed_at_s
-    out.i32(3);       // reprogram_count
-    out.i32(4);       // update_count
-    out.f64(1.0);     // health_fraction
-    out.boolean(false);
-    out.f64(1.0);     // eta_scale
-    out.i32(2);       // retry_count
-    out.i32(1);       // degraded_runs
-    out.i32(4);       // updates_accepted
-    out.i32(0);       // updates_rejected
-    out.i32(0);       // updates_rolled_back
-    out.i32(0);       // probation_left
-    out.i64(0);       // probation_mismatches
-    out.i64(0);       // probation_layers
-    out.f64(0.0);     // pre_update_rate
-    out.f64(0.0);     // mismatch_rate_ema
-    out.u64(0);       // buffer_entries
-    out.u64(0);       // buffer_quarantine
-    out.u64(0);       // last_update_batch
-    out.u64(5);       // buffer_dropped
-    out.u64(0);       // buffer_quarantine_hits
-    out.str("");      // policy_blob
-    out.str("");      // last_good_blob
-  }
-  out.boolean(true);  // has_faults
-  out.i32(7);         // wear: campaigns
-  out.i32(12);        // stuck_cells
-  out.i32(1);         // failed_wordlines
-  out.i32(0);         // failed_bitlines
-  out.u64(0);         // health_maps
-  out.boolean(false);  // v2: has_resilience
-  out.i32(0);          // shed_policy
-  out.u64(0);          // queue_capacity
-  out.f64(0.0);        // busy_until_s
-  out.u64(0);          // pending_runs
-  out.u64(0);          // breakers
-  out.u64(0);          // fallback_ous
-  out.boolean(false);  // v3: batching_enabled
-  out.i32(0);          // batch_cap
-  out.boolean(true);   // v4: leveling_enabled
-  out.i32(16);         // leveling_spare_rows
-  out.f64(0.8);        // leveling_wear_budget
-  out.i32(1);          // wear.crossbars_retired
-  out.i32(4);          // wear_seg_base_rows_remapped
-  out.i32(1);          // wear_seg_base_crossbars_retired
-  out.i64(256);        // wear_seg_base_writes_leveled
-  out.i32(2);          // controller.wear_deferred_reprograms
-  out.i32(1);          // controller.retired_seen
-  out.u64(0);          // wear_maps
-  return out.bytes();
-}
-
-TEST(Checkpoint, Version4FrameDecodesAsSingleShardFleet) {
-  const std::string path = temp_base("v4fleet") + ".a";
-  write_file(path, frame_with_version(4, 9, v4_payload()));
-  const auto ckpt = load_checkpoint_file(path);
-  ASSERT_TRUE(ckpt.has_value());
-  // The v4 fields decode as written...
-  EXPECT_EQ(ckpt->segment, 2u);
-  EXPECT_TRUE(ckpt->leveling_enabled);
-  EXPECT_EQ(ckpt->leveling_spare_rows, 16);
-  EXPECT_EQ(ckpt->wear.crossbars_retired, 1);
-  EXPECT_EQ(ckpt->result.tenants[0].rows_remapped, 6);
-  EXPECT_EQ(ckpt->result.tenants[0].spares_remaining, 10);
-  // ...and the fleet surface comes back in the single-shard default state:
-  // a pre-fleet frame is shard 0 of a 1-shard fleet with no service
-  // models, so resume_with_odin accepts it for the plain serving loop and
-  // resume_fleet refuses to graft it onto a multi-shard campaign.
-  EXPECT_EQ(ckpt->fleet_shards, 1);
-  EXPECT_EQ(ckpt->fleet_shard_index, 0);
-  EXPECT_FALSE(ckpt->has_service_models);
-  EXPECT_TRUE(ckpt->service_models.empty());
-  EXPECT_EQ(ckpt->result.tenants[0].service_s, 0.0);
-  EXPECT_EQ(ckpt->result.tenants[0].pipelined_runs, 0);
-  std::remove(path.c_str());
-}
-
-/// A minimal *version 5* payload: the v4 layout plus the fleet surface,
-/// ending exactly where v5 ended — no scenario tail. Pins the decoder's
-/// pre-scenario path: a frame written before the campaign engine existed
-/// must resume with sojourn retention uncapped and no embedded campaign.
-std::string v5_payload() {
-  common::ByteWriter out;
-  out.u64(2);       // segment
-  out.u64(41);      // next_run
-  out.i32(6);       // segments
-  out.i32(120);     // horizon_runs
-  out.f64(1.0);     // t_start_s
-  out.f64(1e8);     // t_end_s
-  out.u64(1);       // tenant_names
-  out.str("TinyNet");
-  out.str("Odin");  // result.label
-  out.u64(1);       // result.tenants
-  {                 // one v5 tenant record
-    out.str("TinyNet");
-    out.i32(41);   // runs
-    out.i32(3);    // reprograms
-    out.i32(77);   // mismatches
-    out.i32(2);    // retries
-    out.i32(1);    // degraded_runs
-    out.i32(4);    // updates_accepted
-    out.i32(0);    // updates_rejected
-    out.i32(0);    // updates_rolled_back
-    out.i64(5);    // buffer_dropped
-    out.i64(0);    // buffer_quarantined
-    out.f64(1.25e-3);  // inference energy/latency
-    out.f64(3.5e-4);
-    out.f64(4.0e-3);  // reprogram energy/latency
-    out.f64(9.0e-4);
-    out.f64(0.0);  // v2: slo_s
-    out.i32(0);    // shed_runs
-    out.i32(0);    // breaker_open_runs
-    out.i32(0);    // deadline_misses
-    out.i32(0);    // deferred_reprograms
-    out.i32(0);    // deadline_stopped_retries
-    out.i32(0);    // searches_truncated
-    out.i32(0);    // breaker_opens
-    out.i32(0);    // breaker_reopens
-    out.i32(0);    // breaker_probes
-    out.i32(0);    // breaker_closes
-    out.i32(0);    // watchdog_stalls
-    out.u64(2);    // sojourn samples
-    out.f64(3.5e-4);
-    out.f64(1.9e-3);
-    out.i32(0);    // v3: batches_formed
-    out.i32(0);    // batch_members
-    out.i32(0);    // max_batch
-    out.i32(0);    // batch_slo_capped
-    out.i32(6);    // v4: rows_remapped
-    out.i32(1);    // crossbars_retired
-    out.i64(384);  // writes_leveled
-    out.i32(2);    // wear_deferred_reprograms
-    out.i32(10);   // spares_remaining
-    out.f64(4.75e-3);  // v5: service_s
-    out.i32(17);       // pipelined_runs
-  }
-  out.f64(2.0e-3);  // programming energy/latency
-  out.f64(1.0e-4);
-  out.i32(3);  // switches
-  out.i32(4);  // policy_updates
-  {            // controller snapshot (unversioned, same as v1)
-    out.f64(12.5);    // programmed_at_s
-    out.i32(3);       // reprogram_count
-    out.i32(4);       // update_count
-    out.f64(1.0);     // health_fraction
-    out.boolean(false);
-    out.f64(1.0);     // eta_scale
-    out.i32(2);       // retry_count
-    out.i32(1);       // degraded_runs
-    out.i32(4);       // updates_accepted
-    out.i32(0);       // updates_rejected
-    out.i32(0);       // updates_rolled_back
-    out.i32(0);       // probation_left
-    out.i64(0);       // probation_mismatches
-    out.i64(0);       // probation_layers
-    out.f64(0.0);     // pre_update_rate
-    out.f64(0.0);     // mismatch_rate_ema
-    out.u64(0);       // buffer_entries
-    out.u64(0);       // buffer_quarantine
-    out.u64(0);       // last_update_batch
-    out.u64(5);       // buffer_dropped
-    out.u64(0);       // buffer_quarantine_hits
-    out.str("");      // policy_blob
-    out.str("");      // last_good_blob
-  }
-  out.boolean(true);  // has_faults
-  out.i32(7);         // wear: campaigns
-  out.i32(12);        // stuck_cells
-  out.i32(1);         // failed_wordlines
-  out.i32(0);         // failed_bitlines
-  out.u64(0);         // health_maps
-  out.boolean(false);  // v2: has_resilience
-  out.i32(0);          // shed_policy
-  out.u64(0);          // queue_capacity
-  out.f64(0.0);        // busy_until_s
-  out.u64(0);          // pending_runs
-  out.u64(0);          // breakers
-  out.u64(0);          // fallback_ous
-  out.boolean(false);  // v3: batching_enabled
-  out.i32(0);          // batch_cap
-  out.boolean(true);   // v4: leveling_enabled
-  out.i32(16);         // leveling_spare_rows
-  out.f64(0.8);        // leveling_wear_budget
-  out.i32(1);          // wear.crossbars_retired
-  out.i32(4);          // wear_seg_base_rows_remapped
-  out.i32(1);          // wear_seg_base_crossbars_retired
-  out.i64(256);        // wear_seg_base_writes_leveled
-  out.i32(2);          // controller.wear_deferred_reprograms
-  out.i32(1);          // controller.retired_seen
-  out.u64(0);          // wear_maps
-  out.i32(2);          // v5: fleet_shards
-  out.i32(1);          // fleet_shard_index
-  out.boolean(true);   // has_service_models
-  out.u64(1);          // service_models
-  out.f64(1.5e-9);     // noc_extra.energy_j
-  out.f64(2.5e-7);     // noc_extra.latency_s
-  out.f64(0.62);       // pipeline_overlap
-  return out.bytes();
-}
-
-TEST(Checkpoint, Version5FrameDecodesWithScenarioDefaults) {
-  const std::string path = temp_base("v5scenario") + ".a";
-  write_file(path, frame_with_version(5, 9, v5_payload()));
-  const auto ckpt = load_checkpoint_file(path);
-  ASSERT_TRUE(ckpt.has_value());
-  // The v5 fields decode as written...
-  EXPECT_EQ(ckpt->segment, 2u);
-  EXPECT_EQ(ckpt->fleet_shards, 2);
-  EXPECT_EQ(ckpt->fleet_shard_index, 1);
-  ASSERT_EQ(ckpt->service_models.size(), 1u);
-  EXPECT_EQ(ckpt->service_models[0].pipeline_overlap, 0.62);
-  ASSERT_EQ(ckpt->result.tenants.size(), 1u);
-  EXPECT_EQ(ckpt->result.tenants[0].service_s, 4.75e-3);
-  EXPECT_EQ(ckpt->result.tenants[0].pipelined_runs, 17);
-  // ...and the scenario surface comes back in the pre-campaign default
-  // state: retention uncapped (the vector holds every sample, so the
-  // sketch fallback never triggers), no embedded campaign, a
-  // default-constructed CampaignState.
-  EXPECT_EQ(ckpt->sojourn_cap, 0u);
-  EXPECT_FALSE(ckpt->has_scenario);
-  EXPECT_EQ(ckpt->scenario.seed, 0u);
-  EXPECT_EQ(ckpt->scenario.next_event, 0u);
-  EXPECT_TRUE(ckpt->scenario.shard_pes.empty());
-  EXPECT_TRUE(ckpt->scenario.storm_shard_mask.empty());
-  EXPECT_EQ(ckpt->scenario.slack_p1.count(), 0u);
-  EXPECT_EQ(ckpt->result.tenants[0].sojourn_sketch.count(), 0u);
-  EXPECT_EQ(ckpt->result.tenants[0].sojourn_dropped, 0);
-  ASSERT_EQ(ckpt->result.tenants[0].sojourn_s.size(), 2u);
-  EXPECT_EQ(ckpt->result.tenants[0].sojourn_s[1], 1.9e-3);
-  std::remove(path.c_str());
-}
-
-/// A minimal *version 6* payload: the v5 layout plus the scenario surface,
-/// ending exactly where v6 ended — no cluster tail. Pins the decoder's
-/// pre-cluster path: a frame written before the cluster layer existed must
-/// resume as a single-mesh cluster with replication and failover off. The
-/// v6 sub-blocks (sojourn sketch, campaign state) use the public codecs —
-/// their layouts are pinned by their own round-trip tests.
-std::string v6_payload() {
-  common::ByteWriter out;
-  out.u64(2);       // segment
-  out.u64(41);      // next_run
-  out.i32(6);       // segments
-  out.i32(120);     // horizon_runs
-  out.f64(1.0);     // t_start_s
-  out.f64(1e8);     // t_end_s
-  out.u64(1);       // tenant_names
-  out.str("TinyNet");
-  out.str("Odin");  // result.label
-  out.u64(1);       // result.tenants
-  {                 // one v6 tenant record
-    out.str("TinyNet");
-    out.i32(41);   // runs
-    out.i32(3);    // reprograms
-    out.i32(77);   // mismatches
-    out.i32(2);    // retries
-    out.i32(1);    // degraded_runs
-    out.i32(4);    // updates_accepted
-    out.i32(0);    // updates_rejected
-    out.i32(0);    // updates_rolled_back
-    out.i64(5);    // buffer_dropped
-    out.i64(0);    // buffer_quarantined
-    out.f64(1.25e-3);  // inference energy/latency
-    out.f64(3.5e-4);
-    out.f64(4.0e-3);  // reprogram energy/latency
-    out.f64(9.0e-4);
-    out.f64(0.0);  // v2: slo_s
-    out.i32(0);    // shed_runs
-    out.i32(0);    // breaker_open_runs
-    out.i32(0);    // deadline_misses
-    out.i32(0);    // deferred_reprograms
-    out.i32(0);    // deadline_stopped_retries
-    out.i32(0);    // searches_truncated
-    out.i32(0);    // breaker_opens
-    out.i32(0);    // breaker_reopens
-    out.i32(0);    // breaker_probes
-    out.i32(0);    // breaker_closes
-    out.i32(0);    // watchdog_stalls
-    out.u64(2);    // sojourn samples
-    out.f64(3.5e-4);
-    out.f64(1.9e-3);
-    out.i32(0);    // v3: batches_formed
-    out.i32(0);    // batch_members
-    out.i32(0);    // max_batch
-    out.i32(0);    // batch_slo_capped
-    out.i32(6);    // v4: rows_remapped
-    out.i32(1);    // crossbars_retired
-    out.i64(384);  // writes_leveled
-    out.i32(2);    // wear_deferred_reprograms
-    out.i32(10);   // spares_remaining
-    out.f64(4.75e-3);  // v5: service_s
-    out.i32(17);       // pipelined_runs
-    SojournSketch sketch;  // v6: live sojourn sketch + dropped counter
-    sketch.add(3.5e-4);
-    sketch.add(1.9e-3);
-    encode_sojourn_sketch(sketch, out);
-    out.i64(11);  // sojourn_dropped
-  }
-  out.f64(2.0e-3);  // programming energy/latency
-  out.f64(1.0e-4);
-  out.i32(3);  // switches
-  out.i32(4);  // policy_updates
-  {            // controller snapshot (unversioned, same as v1)
-    out.f64(12.5);    // programmed_at_s
-    out.i32(3);       // reprogram_count
-    out.i32(4);       // update_count
-    out.f64(1.0);     // health_fraction
-    out.boolean(false);
-    out.f64(1.0);     // eta_scale
-    out.i32(2);       // retry_count
-    out.i32(1);       // degraded_runs
-    out.i32(4);       // updates_accepted
-    out.i32(0);       // updates_rejected
-    out.i32(0);       // updates_rolled_back
-    out.i32(0);       // probation_left
-    out.i64(0);       // probation_mismatches
-    out.i64(0);       // probation_layers
-    out.f64(0.0);     // pre_update_rate
-    out.f64(0.0);     // mismatch_rate_ema
-    out.u64(0);       // buffer_entries
-    out.u64(0);       // buffer_quarantine
-    out.u64(0);       // last_update_batch
-    out.u64(5);       // buffer_dropped
-    out.u64(0);       // buffer_quarantine_hits
-    out.str("");      // policy_blob
-    out.str("");      // last_good_blob
-  }
-  out.boolean(true);  // has_faults
-  out.i32(7);         // wear: campaigns
-  out.i32(12);        // stuck_cells
-  out.i32(1);         // failed_wordlines
-  out.i32(0);         // failed_bitlines
-  out.u64(0);         // health_maps
-  out.boolean(false);  // v2: has_resilience
-  out.i32(0);          // shed_policy
-  out.u64(0);          // queue_capacity
-  out.f64(0.0);        // busy_until_s
-  out.u64(0);          // pending_runs
-  out.u64(0);          // breakers
-  out.u64(0);          // fallback_ous
-  out.boolean(false);  // v3: batching_enabled
-  out.i32(0);          // batch_cap
-  out.boolean(true);   // v4: leveling_enabled
-  out.i32(16);         // leveling_spare_rows
-  out.f64(0.8);        // leveling_wear_budget
-  out.i32(1);          // wear.crossbars_retired
-  out.i32(4);          // wear_seg_base_rows_remapped
-  out.i32(1);          // wear_seg_base_crossbars_retired
-  out.i64(256);        // wear_seg_base_writes_leveled
-  out.i32(2);          // controller.wear_deferred_reprograms
-  out.i32(1);          // controller.retired_seen
-  out.u64(0);          // wear_maps
-  out.i32(2);          // v5: fleet_shards
-  out.i32(1);          // fleet_shard_index
-  out.boolean(true);   // has_service_models
-  out.u64(1);          // service_models
-  out.f64(1.5e-9);     // noc_extra.energy_j
-  out.f64(2.5e-7);     // noc_extra.latency_s
-  out.f64(0.62);       // pipeline_overlap
-  out.u64(64);         // v6: sojourn_cap
-  out.boolean(false);  // has_scenario
-  encode_campaign_state(CampaignState{}, out);
-  return out.bytes();
-}
-
-TEST(Checkpoint, Version6FrameDecodesAsSingleMeshCluster) {
-  const std::string path = temp_base("v6cluster") + ".a";
-  write_file(path, frame_with_version(6, 9, v6_payload()));
-  const auto ckpt = load_checkpoint_file(path);
-  ASSERT_TRUE(ckpt.has_value());
-  // The v6 fields decode as written...
-  EXPECT_EQ(ckpt->segment, 2u);
-  EXPECT_EQ(ckpt->sojourn_cap, 64u);
-  ASSERT_EQ(ckpt->result.tenants.size(), 1u);
-  EXPECT_EQ(ckpt->result.tenants[0].sojourn_sketch.count(), 2u);
-  EXPECT_EQ(ckpt->result.tenants[0].sojourn_dropped, 11);
-  // ...and the cluster surface comes back in the pre-cluster default
-  // state: a single-mesh cluster with replication and failover off,
-  // nothing fired, empty per-mesh/per-tenant vectors, zeroed ledgers —
-  // and zeroed per-tenant failover counters.
-  EXPECT_FALSE(ckpt->has_cluster);
-  EXPECT_EQ(ckpt->cluster.meshes, 1);
-  EXPECT_EQ(ckpt->cluster.replication_epochs, 0);
-  EXPECT_FALSE(ckpt->cluster.failover);
-  EXPECT_EQ(ckpt->cluster.outages_fired, 0);
-  EXPECT_EQ(ckpt->cluster.replication_rounds, 0);
-  EXPECT_TRUE(ckpt->cluster.mesh_down.empty());
-  EXPECT_TRUE(ckpt->cluster.replica_runs.empty());
-  EXPECT_TRUE(ckpt->cluster.breakers.empty());
-  EXPECT_EQ(ckpt->cluster.failovers, 0);
-  EXPECT_EQ(ckpt->cluster.outage_dropped, 0);
-  EXPECT_EQ(ckpt->cluster.rpo_max_s, 0.0);
-  EXPECT_EQ(ckpt->result.tenants[0].failovers, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].restored_stale, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].lost_runs, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].outage_dropped, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].rpo_s, 0.0);
-  EXPECT_EQ(ckpt->result.tenants[0].rto_s, 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, MidFrameTruncationSweepAlwaysFallsBack) {
@@ -1199,15 +515,180 @@ TEST(Checkpoint, ZeroLengthFilesAreNulloptNotCrash) {
   remove_slots(base);
 }
 
+/// A hand-built checkpoint whose every TenantStats field holds a distinct
+/// nonzero value, so swapping any two fields on the wire changes the bytes.
+/// Everything is an exact literal and the controller snapshot is the
+/// default one (no trained policy blob), so the encoding depends on the
+/// payload layout alone, not on build flags or training arithmetic.
+ServingCheckpoint golden_checkpoint() {
+  TenantStats t;
+  t.name = "GoldenNet";
+  t.runs = 101;
+  t.reprograms = 102;
+  t.mismatches = 103;
+  t.retries = 104;
+  t.degraded_runs = 105;
+  t.updates_accepted = 106;
+  t.updates_rejected = 107;
+  t.updates_rolled_back = 108;
+  t.buffer_dropped = 109;
+  t.buffer_quarantined = 110;
+  t.inference = {1.5, 2.5};
+  t.reprogram = {3.5, 4.5};
+  t.slo_s = 5.5;
+  t.shed_runs = 111;
+  t.breaker_open_runs = 112;
+  t.deadline_misses = 113;
+  t.deferred_reprograms = 114;
+  t.deadline_stopped_retries = 115;
+  t.searches_truncated = 116;
+  t.breaker_opens = 117;
+  t.breaker_reopens = 118;
+  t.breaker_probes = 119;
+  t.breaker_closes = 120;
+  t.watchdog_stalls = 121;
+  t.sojourn_s = {6.5, 7.5};
+  t.batches_formed = 122;
+  t.batch_members = 123;
+  t.max_batch = 124;
+  t.batch_slo_capped = 125;
+  t.rows_remapped = 126;
+  t.crossbars_retired = 127;
+  t.writes_leveled = 128;
+  t.wear_deferred_reprograms = 129;
+  t.spares_remaining = 130;
+  t.service_s = 8.5;
+  t.pipelined_runs = 131;
+  for (double x : {0.25, 0.5, 0.125}) t.sojourn_sketch.add(x);
+  t.sojourn_dropped = 132;
+  t.failovers = 133;
+  t.restored_stale = 134;
+  t.lost_runs = 135;
+  t.outage_dropped = 136;
+  t.rpo_s = 9.5;
+  t.rto_s = 10.5;
+
+  ServingCheckpoint ckpt;
+  ckpt.segment = 1;
+  ckpt.next_run = 2;
+  ckpt.segments = 3;
+  ckpt.horizon_runs = 4;
+  ckpt.t_start_s = 1.0;
+  ckpt.t_end_s = 1e6;
+  ckpt.tenant_names = {t.name};
+  ckpt.result.label = "Odin";
+  ckpt.result.tenants = {t};
+  ckpt.result.programming = {11.5, 12.5};
+  ckpt.result.switches = 5;
+  ckpt.result.policy_updates = 6;
+  return ckpt;
+}
+
+TEST(Checkpoint, PayloadLayoutMatchesGoldenBytes) {
+  // Pins the current payload version's wire layout: a reordered, dropped or
+  // retyped field (in the TenantStats table or anywhere else) changes the
+  // size or the CRC. Update the golden only together with a version bump.
+  common::ByteWriter out;
+  encode_checkpoint(golden_checkpoint(), out);
+  const std::string& bytes = out.bytes();
+  EXPECT_EQ(bytes.size(), 2432u);
+  EXPECT_EQ(common::crc32(bytes.data(), bytes.size()), 0x572e15d3u);
+  // The decode side of the same table: the golden tenant survives whole.
+  common::ByteReader in(bytes);
+  const auto decoded = decode_checkpoint(in);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(in.exhausted());
+  ASSERT_EQ(decoded->result.tenants.size(), 1u);
+  EXPECT_TRUE(decoded->result.tenants[0] ==
+              golden_checkpoint().result.tenants[0]);
+}
+
 TEST(Checkpoint, FutureVersionFrameIsRejectedNotMisparsed) {
-  // A payload from a newer build has an unknown layout; guessing would be
-  // silent corruption. Same bytes, same CRC — only the version differs.
-  const std::string path = temp_base("v3frame") + ".a";
-  write_file(path, frame_with_version(kCheckpointVersion + 1, 9, v1_payload()));
-  EXPECT_FALSE(load_checkpoint_file(path).has_value());
-  write_file(path, frame_with_version(0, 9, v1_payload()));
-  EXPECT_FALSE(load_checkpoint_file(path).has_value());
-  std::remove(path.c_str());
+  // A checkpoint is crash-resume state, not an archive: only frames of
+  // this build's payload version load. A newer layout is unknown and an
+  // older one is not kept; guessing would be silent corruption. Same
+  // bytes, same CRC — only the version differs. A tenantless payload also
+  // parses under the previous version's layout (which ends before the
+  // cluster tail), so only the version check stands between it and a
+  // misparse; the loader must fall back to the other slot.
+  const std::string base = temp_base("version_frame");
+  remove_slots(base);
+  ServingCheckpoint ckpt = golden_checkpoint();
+  ckpt.result.tenants.clear();
+  common::ByteWriter out;
+  encode_checkpoint(ckpt, out);
+  const std::string& payload = out.bytes();
+  write_file(base + ".a", frame_with_version(kCheckpointVersion, 1, payload));
+  ASSERT_TRUE(load_checkpoint_file(base + ".a").has_value());  // the control
+  for (std::uint32_t v : {0u, 1u, 2u, 3u, 4u, 5u, 6u, kCheckpointVersion + 1}) {
+    write_file(base + ".b", frame_with_version(v, 2, payload));
+    EXPECT_FALSE(load_checkpoint_file(base + ".b").has_value()) << "v" << v;
+    const auto latest = load_latest_checkpoint(base);
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_EQ(latest->sequence, 1u) << "v" << v;
+  }
+  remove_slots(base);
+}
+
+TEST(Checkpoint, PayloadMutationFuzzNeverCrashes) {
+  // decode_checkpoint on its own, with the frame CRC out of the way: every
+  // mutated payload must decode to nullopt or to a value — never crash,
+  // overrun or allocate without bound (the asan lane runs this test).
+  const auto tenant = testing::tiny_mapped();
+  common::ByteWriter out;
+  encode_checkpoint(sample_checkpoint(tenant), out);
+  const std::string& pristine = out.bytes();
+  common::Rng rng(0xf022);
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform() * static_cast<double>(n)) %
+           n;
+  };
+  int decoded = 0;
+  int refused = 0;
+  auto decode = [&](const std::string& bytes) {
+    common::ByteReader in(bytes);
+    if (decode_checkpoint(in).has_value())
+      ++decoded;
+    else
+      ++refused;
+  };
+  // Byte flips: one to four random bytes xor-ed with a random nonzero mask.
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes = pristine;
+    const std::size_t flips = 1 + pick(4);
+    for (std::size_t f = 0; f < flips; ++f)
+      bytes[pick(bytes.size())] ^= static_cast<char>(1 + pick(255));
+    decode(bytes);
+  }
+  // Truncations: every strict prefix is short of some field.
+  for (int trial = 0; trial < 500; ++trial) {
+    common::ByteReader in(std::string_view(pristine).substr(
+        0, pick(pristine.size())));
+    EXPECT_FALSE(decode_checkpoint(in).has_value());
+  }
+  // Inflated counts: every offset whose u64 reads as a small positive
+  // value is a candidate count field (the real ones among them); overwrite
+  // it with a count at or just past a decoder cap, or far past the payload.
+  std::vector<std::size_t> counts;
+  for (std::size_t i = 0; i + 8 <= pristine.size(); ++i) {
+    common::ByteReader in(std::string_view(pristine).substr(i, 8));
+    const std::uint64_t v = in.u64();
+    if (v >= 1 && v <= 4096) counts.push_back(i);
+  }
+  ASSERT_FALSE(counts.empty());
+  const std::uint64_t inflated[] = {
+      1u << 12, 1u << 16, (1u << 16) + 1, (1u << 24) + 1,
+      1ull << 32, ~0ull};
+  for (int trial = 0; trial < 1500; ++trial) {
+    const std::size_t at = counts[pick(counts.size())];
+    common::ByteWriter w;
+    w.u64(inflated[pick(std::size(inflated))]);
+    std::string bytes = pristine;
+    bytes.replace(at, 8, w.bytes());
+    decode(bytes);
+  }
+  EXPECT_EQ(decoded + refused, 3500);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(Checkpoint, ControllerSnapshotRestoreRoundTrip) {

@@ -93,17 +93,9 @@ ServingResult run_serving(int threads, bool odin) {
 
 void expect_same_serving(const ServingResult& seq, const ServingResult& par) {
   expect_same(seq.programming, par.programming);
-  expect_same(seq.total(), par.total());
   EXPECT_EQ(seq.switches, par.switches);
-  EXPECT_EQ(seq.total_runs(), par.total_runs());
-  EXPECT_EQ(seq.total_mismatches(), par.total_mismatches());
-  ASSERT_EQ(seq.tenants.size(), par.tenants.size());
-  for (std::size_t i = 0; i < seq.tenants.size(); ++i) {
-    expect_same(seq.tenants[i].inference, par.tenants[i].inference);
-    expect_same(seq.tenants[i].reprogram, par.tenants[i].reprogram);
-    EXPECT_EQ(seq.tenants[i].runs, par.tenants[i].runs);
-    EXPECT_EQ(seq.tenants[i].reprograms, par.tenants[i].reprograms);
-  }
+  EXPECT_EQ(seq.policy_updates, par.policy_updates);
+  EXPECT_TRUE(seq.tenants == par.tenants);  // every counter of every tenant
 }
 
 TEST(ParallelDeterminism, HomogeneousServingBitwiseIdentical) {
@@ -143,27 +135,16 @@ ServingResult run_faulty_serving(int threads, bool odin) {
                                 &faults);
 }
 
-void expect_same_fault_counters(const ServingResult& seq,
-                                const ServingResult& par) {
-  expect_same_serving(seq, par);
-  EXPECT_EQ(seq.total_retries(), par.total_retries());
-  EXPECT_EQ(seq.total_degraded_runs(), par.total_degraded_runs());
-  for (std::size_t i = 0; i < seq.tenants.size(); ++i) {
-    EXPECT_EQ(seq.tenants[i].retries, par.tenants[i].retries);
-    EXPECT_EQ(seq.tenants[i].degraded_runs, par.tenants[i].degraded_runs);
-  }
-}
-
 TEST(ParallelDeterminism, FaultyOdinServingBitwiseIdentical) {
   // The injector draws on the controller thread only; candidate evaluation
   // stays pure, so the fault path keeps the bitwise contract.
-  expect_same_fault_counters(run_faulty_serving(1, true),
-                             run_faulty_serving(8, true));
+  expect_same_serving(run_faulty_serving(1, true),
+                      run_faulty_serving(8, true));
 }
 
 TEST(ParallelDeterminism, FaultyHomogeneousServingBitwiseIdentical) {
-  expect_same_fault_counters(run_faulty_serving(1, false),
-                             run_faulty_serving(8, false));
+  expect_same_serving(run_faulty_serving(1, false),
+                      run_faulty_serving(8, false));
 }
 
 std::vector<double> run_hardware(int threads) {

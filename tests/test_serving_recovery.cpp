@@ -64,22 +64,10 @@ void remove_slots(const std::string& base) {
 }
 
 void expect_identical(const ServingResult& a, const ServingResult& b) {
-  EXPECT_EQ(a.total_runs(), b.total_runs());
-  EXPECT_EQ(a.total_mismatches(), b.total_mismatches());
   EXPECT_EQ(a.policy_updates, b.policy_updates);
   EXPECT_EQ(a.switches, b.switches);
-  EXPECT_EQ(a.total_buffer_dropped(), b.total_buffer_dropped());
-  EXPECT_EQ(a.total().energy_j, b.total().energy_j);
-  EXPECT_EQ(a.total().latency_s, b.total().latency_s);
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-    EXPECT_EQ(a.tenants[i].runs, b.tenants[i].runs);
-    EXPECT_EQ(a.tenants[i].mismatches, b.tenants[i].mismatches);
-    EXPECT_EQ(a.tenants[i].reprograms, b.tenants[i].reprograms);
-    EXPECT_EQ(a.tenants[i].inference.energy_j, b.tenants[i].inference.energy_j);
-    EXPECT_EQ(a.tenants[i].inference.latency_s,
-              b.tenants[i].inference.latency_s);
-  }
+  EXPECT_TRUE(a.programming == b.programming);
+  EXPECT_TRUE(a.tenants == b.tenants);  // every counter of every tenant
 }
 
 TEST(ServingRecovery, ResumedRunMatchesUninterruptedRun) {

@@ -384,29 +384,8 @@ TEST(ServingResilience, WatchdogCancelsHungRunAndMarksItShed) {
 // --- Checkpoint/resume of the resilience state ---
 
 void expect_same_tenant(const TenantStats& a, const TenantStats& b) {
-  EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.reprograms, b.reprograms);
-  EXPECT_EQ(a.mismatches, b.mismatches);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.degraded_runs, b.degraded_runs);
-  EXPECT_EQ(a.slo_s, b.slo_s);
-  EXPECT_EQ(a.shed_runs, b.shed_runs);
-  EXPECT_EQ(a.breaker_open_runs, b.breaker_open_runs);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.deferred_reprograms, b.deferred_reprograms);
-  EXPECT_EQ(a.deadline_stopped_retries, b.deadline_stopped_retries);
-  EXPECT_EQ(a.searches_truncated, b.searches_truncated);
-  EXPECT_EQ(a.breaker_opens, b.breaker_opens);
-  EXPECT_EQ(a.breaker_reopens, b.breaker_reopens);
-  EXPECT_EQ(a.breaker_probes, b.breaker_probes);
-  EXPECT_EQ(a.breaker_closes, b.breaker_closes);
-  EXPECT_EQ(a.watchdog_stalls, b.watchdog_stalls);
-  EXPECT_EQ(a.sojourn_s, b.sojourn_s);  // bitwise, every sample
-  EXPECT_EQ(a.inference.energy_j, b.inference.energy_j);
-  EXPECT_EQ(a.inference.latency_s, b.inference.latency_s);
-  EXPECT_EQ(a.reprogram.energy_j, b.reprogram.energy_j);
-  EXPECT_EQ(a.reprogram.latency_s, b.reprogram.latency_s);
+  // Every field, sojourn samples bitwise included.
+  EXPECT_TRUE(a == b) << "tenant " << a.name;
 }
 
 TEST(ServingResilience, CheckpointResumeRoundTripsResilienceStateBitwise) {

@@ -343,8 +343,7 @@ void print_wear_summary(const core::ServingResult& result,
   for (const core::TenantStats& t : result.tenants)
     table.add_row({t.name, common::Table::integer(t.rows_remapped),
                    common::Table::integer(t.crossbars_retired),
-                   common::Table::integer(
-                       static_cast<int>(t.writes_leveled)),
+                   common::Table::integer(t.writes_leveled),
                    common::Table::integer(t.wear_deferred_reprograms)});
   common::print_table("wear leveling (rotate / remap / retire / migrate)",
                       table);
