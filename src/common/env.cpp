@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace odin::common {
 
@@ -15,6 +16,18 @@ bool parse_i64(const char* s, long long& out) {
   char* end = nullptr;
   out = std::strtoll(s, &end, 10);
   return end != s && *end == '\0';
+}
+
+bool parse_on_off(const char* s, bool& out) {
+  if (std::strcmp(s, "on") == 0 || std::strcmp(s, "1") == 0) {
+    out = true;
+    return true;
+  }
+  if (std::strcmp(s, "off") == 0 || std::strcmp(s, "0") == 0) {
+    out = false;
+    return true;
+  }
+  return false;
 }
 
 bool env_long(const char* name, long long& out) {

@@ -28,21 +28,12 @@ int threads_from_env() {
 constexpr std::size_t kJobClosed =
     std::numeric_limits<std::size_t>::max() / 2;
 
-std::size_t min_work_from_env() {
-  long long v = 0;
-  if (env_long("ODIN_PARALLEL_MIN_NS", v) && v >= 0)
-    return static_cast<std::size_t>(v);
-  // Fork-join (wake + join) costs a handful of microseconds; below ~100us
-  // of total work the pool cannot break even even at perfect scaling.
-  return 100'000;
-}
+/// Total-work cutoff (nanoseconds) below which hinted regions run inline.
+/// Fork-join (wake + join) costs a handful of microseconds; below ~100us
+/// of total work the pool cannot break even even at perfect scaling.
+constexpr std::size_t kMinParallelWorkNs = 100'000;
 
 }  // namespace
-
-std::size_t ThreadPool::min_parallel_work_ns() noexcept {
-  static const std::size_t cutoff = min_work_from_env();
-  return cutoff;
-}
 
 ThreadPool& ThreadPool::instance() {
   static ThreadPool pool(threads_from_env());
@@ -146,8 +137,8 @@ void ThreadPool::run_chunks(std::size_t begin, std::size_t end,
   // (Overflow-safe: treat saturated products as "plenty of work".)
   const bool too_small =
       cost_hint_ns != 0 &&
-      n <= min_parallel_work_ns() / cost_hint_ns &&
-      n * cost_hint_ns < min_parallel_work_ns();
+      n <= kMinParallelWorkNs / cost_hint_ns &&
+      n * cost_hint_ns < kMinParallelWorkNs;
   // Sequential path: single-lane pool, a range that fits one chunk, a
   // region below the work cutoff, or a nested region (already on a worker
   // — running inline avoids deadlock).

@@ -21,11 +21,11 @@
 //     deadlock.
 //   * Callers that know their per-item cost pass it as `cost_hint_ns`
 //     (estimated nanoseconds per index). When items x cost_hint_ns is
-//     below the fork-join break-even threshold the region runs on the
-//     plain inline path — waking workers for a few microseconds of work
-//     is a slowdown, not a speedup. cost_hint_ns = 0 (the default) means
-//     "unknown / heavy": always eligible for the pool, the pre-hint
-//     behaviour.
+//     below the fork-join break-even threshold (a fixed 100 us) the
+//     region runs on the plain inline path — waking workers for a few
+//     microseconds of work is a slowdown, not a speedup. cost_hint_ns = 0
+//     (the default) means "unknown / heavy": always eligible for the
+//     pool, the pre-hint behaviour.
 //   * A region may carry a CancellationToken. Chunks that have not
 //     started when the token is cancelled are skipped (their indices are
 //     simply not visited); a chunk already running must poll the token
@@ -86,11 +86,6 @@ class ThreadPool {
   static void record_stall() noexcept {
     stalls_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  /// Total-work cutoff (nanoseconds) below which hinted regions run
-  /// inline. Read once from ODIN_PARALLEL_MIN_NS (default 100000 = 100us,
-  /// several times the measured fork-join wake+join overhead).
-  static std::size_t min_parallel_work_ns() noexcept;
 
   ~ThreadPool();
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -248,7 +249,54 @@ bool write_frame(const std::string& path, std::uint64_t sequence,
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
+/// One table of the payload: a count bounded by the bytes left
+/// (common::vec_count) and by 2^16 entries, then that many elements through
+/// dec(), which returns the element or, where one can fail, an optional of
+/// it. False on a bad count or a failed element.
+template <typename T, typename Fn>
+bool decode_table(common::ByteReader& in, std::vector<T>& v, Fn dec) {
+  std::uint64_t n = 0;
+  if (!common::vec_count(in, n) || n > (1u << 16)) return false;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if constexpr (std::is_same_v<decltype(dec()), T>) {
+      v.push_back(dec());
+    } else {
+      auto x = dec();
+      if (!x.has_value()) return false;
+      v.push_back(std::move(*x));
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+void encode_breaker(const CircuitBreaker::Snapshot& b,
+                    common::ByteWriter& out) {
+  out.i32(b.state);
+  out.u64(b.window_bits);
+  out.i32(b.window_fill);
+  out.i32(b.hold_left);
+  out.i32(b.hold_runs);
+  out.i32(b.opens);
+  out.i32(b.reopens);
+  out.i32(b.probes);
+  out.i32(b.closes);
+}
+
+CircuitBreaker::Snapshot decode_breaker(common::ByteReader& in) {
+  CircuitBreaker::Snapshot b;
+  b.state = in.i32();
+  b.window_bits = in.u64();
+  b.window_fill = in.i32();
+  b.hold_left = in.i32();
+  b.hold_runs = in.i32();
+  b.opens = in.i32();
+  b.reopens = in.i32();
+  b.probes = in.i32();
+  b.closes = in.i32();
+  return b;
+}
 
 void encode_checkpoint(const ServingCheckpoint& ckpt,
                        common::ByteWriter& out) {
@@ -282,23 +330,14 @@ void encode_checkpoint(const ServingCheckpoint& ckpt,
   out.f64(ckpt.busy_until_s);
   common::encode_vec(ckpt.pending_runs, out,
                      [&](std::uint64_t j) { out.u64(j); });
-  out.u64(ckpt.breakers.size());
-  for (const CircuitBreaker::Snapshot& b : ckpt.breakers) {
-    out.i32(b.state);
-    out.u64(b.window_bits);
-    out.i32(b.window_fill);
-    out.i32(b.hold_left);
-    out.i32(b.hold_runs);
-    out.i32(b.opens);
-    out.i32(b.reopens);
-    out.i32(b.probes);
-    out.i32(b.closes);
-  }
-  out.u64(ckpt.fallback_ous.size());
-  for (const ou::OuConfig& c : ckpt.fallback_ous) {
+  common::encode_vec(ckpt.breakers, out,
+                     [&](const CircuitBreaker::Snapshot& b) {
+                       encode_breaker(b, out);
+                     });
+  common::encode_vec(ckpt.fallback_ous, out, [&](const ou::OuConfig& c) {
     out.i32(c.rows);
     out.i32(c.cols);
-  }
+  });
   // Batch-formation fingerprint.
   out.boolean(ckpt.batching_enabled);
   out.i32(ckpt.batch_cap);
@@ -342,18 +381,11 @@ std::optional<ServingCheckpoint> decode_checkpoint(common::ByteReader& in) {
   ckpt.horizon_runs = in.i32();
   ckpt.t_start_s = in.f64();
   ckpt.t_end_s = in.f64();
-  const std::uint64_t names = in.u64();
-  if (!in.ok() || names > (1u << 16)) return std::nullopt;
-  for (std::uint64_t i = 0; i < names; ++i)
-    ckpt.tenant_names.push_back(in.str());
+  if (!decode_table(in, ckpt.tenant_names, [&] { return in.str(); }))
+    return std::nullopt;
   ckpt.result.label = in.str();
-  const std::uint64_t tenants = in.u64();
-  if (!in.ok() || tenants > (1u << 16)) return std::nullopt;
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    auto tenant = decode_tenant(in);
-    if (!tenant.has_value()) return std::nullopt;
-    ckpt.result.tenants.push_back(std::move(*tenant));
-  }
+  if (!decode_table(in, ckpt.result.tenants, [&] { return decode_tenant(in); }))
+    return std::nullopt;
   get(in, ckpt.result.programming);
   ckpt.result.switches = in.i32();
   ckpt.result.policy_updates = in.i32();
@@ -364,42 +396,23 @@ std::optional<ServingCheckpoint> decode_checkpoint(common::ByteReader& in) {
   ckpt.wear.stuck_cells = in.i32();
   ckpt.wear.failed_wordlines = in.i32();
   ckpt.wear.failed_bitlines = in.i32();
-  const std::uint64_t maps = in.u64();
-  if (!in.ok() || maps > (1u << 16)) return std::nullopt;
-  for (std::uint64_t i = 0; i < maps; ++i) {
-    auto health = reram::decode_health(in);
-    if (!health.has_value()) return std::nullopt;
-    ckpt.health_maps.push_back(std::move(*health));
-  }
+  if (!decode_table(in, ckpt.health_maps,
+                    [&] { return reram::decode_health(in); }))
+    return std::nullopt;
   ckpt.has_resilience = in.boolean();
   ckpt.shed_policy = in.i32();
   ckpt.queue_capacity = in.u64();
   ckpt.busy_until_s = in.f64();
-  if (!common::decode_vec(in, ckpt.pending_runs, [&] { return in.u64(); }))
+  if (!common::decode_vec(in, ckpt.pending_runs, [&] { return in.u64(); }) ||
+      !decode_table(in, ckpt.breakers,
+                    [&] { return decode_breaker(in); }) ||
+      !decode_table(in, ckpt.fallback_ous, [&] {
+        ou::OuConfig c;
+        c.rows = in.i32();
+        c.cols = in.i32();
+        return c;
+      }))
     return std::nullopt;
-  const std::uint64_t breakers = in.u64();
-  if (!in.ok() || breakers > (1u << 16)) return std::nullopt;
-  for (std::uint64_t i = 0; i < breakers; ++i) {
-    CircuitBreaker::Snapshot b;
-    b.state = in.i32();
-    b.window_bits = in.u64();
-    b.window_fill = in.i32();
-    b.hold_left = in.i32();
-    b.hold_runs = in.i32();
-    b.opens = in.i32();
-    b.reopens = in.i32();
-    b.probes = in.i32();
-    b.closes = in.i32();
-    ckpt.breakers.push_back(b);
-  }
-  const std::uint64_t fallbacks = in.u64();
-  if (!in.ok() || fallbacks > (1u << 16)) return std::nullopt;
-  for (std::uint64_t i = 0; i < fallbacks; ++i) {
-    ou::OuConfig c;
-    c.rows = in.i32();
-    c.cols = in.i32();
-    ckpt.fallback_ous.push_back(c);
-  }
   ckpt.batching_enabled = in.boolean();
   ckpt.batch_cap = in.i32();
   ckpt.leveling_enabled = in.boolean();
@@ -411,25 +424,20 @@ std::optional<ServingCheckpoint> decode_checkpoint(common::ByteReader& in) {
   ckpt.wear_seg_base_writes_leveled = in.i64();
   ckpt.controller.wear_deferred_reprograms = in.i32();
   ckpt.controller.retired_seen = in.i32();
-  const std::uint64_t wear_maps = in.u64();
-  if (!in.ok() || wear_maps > (1u << 16)) return std::nullopt;
-  for (std::uint64_t i = 0; i < wear_maps; ++i) {
-    auto map = reram::decode_wear_map(in);
-    if (!map.has_value()) return std::nullopt;
-    ckpt.wear_maps.push_back(std::move(*map));
-  }
+  if (!decode_table(in, ckpt.wear_maps,
+                    [&] { return reram::decode_wear_map(in); }))
+    return std::nullopt;
   ckpt.fleet_shards = in.i32();
   ckpt.fleet_shard_index = in.i32();
   ckpt.has_service_models = in.boolean();
-  const std::uint64_t models = in.u64();
-  if (!in.ok() || models > (1u << 16)) return std::nullopt;
-  for (std::uint64_t i = 0; i < models; ++i) {
-    TenantServiceModel m;
-    m.noc_extra.energy_j = in.f64();
-    m.noc_extra.latency_s = in.f64();
-    m.pipeline_overlap = in.f64();
-    ckpt.service_models.push_back(m);
-  }
+  if (!decode_table(in, ckpt.service_models, [&] {
+        TenantServiceModel m;
+        m.noc_extra.energy_j = in.f64();
+        m.noc_extra.latency_s = in.f64();
+        m.pipeline_overlap = in.f64();
+        return m;
+      }))
+    return std::nullopt;
   ckpt.sojourn_cap = in.u64();
   ckpt.has_scenario = in.boolean();
   auto scenario = decode_campaign_state(in);

@@ -128,6 +128,12 @@ void encode_checkpoint(const ServingCheckpoint& ckpt,
                        common::ByteWriter& out);
 std::optional<ServingCheckpoint> decode_checkpoint(common::ByteReader& in);
 
+/// One breaker snapshot, as both the serving and the cluster payload
+/// sections carry it.
+void encode_breaker(const CircuitBreaker::Snapshot& b,
+                    common::ByteWriter& out);
+CircuitBreaker::Snapshot decode_breaker(common::ByteReader& in);
+
 /// Double-buffered atomic checkpoint file pair (`<base>.a` / `<base>.b`).
 /// Construction scans existing slots so sequence numbers keep increasing
 /// across process restarts and the next write targets the older slot.

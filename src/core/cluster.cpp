@@ -6,12 +6,9 @@
 #include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
-#include <string_view>
 #include <utility>
 
 #include "arch/noc.hpp"
-#include "common/env.hpp"
 #include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
 
@@ -20,7 +17,6 @@ namespace odin::core {
 namespace {
 
 constexpr int kMaxMeshes = 8;
-constexpr int kDefaultReplicationEpochs = 4;
 constexpr int kMaxReplicationEpochs = 64;
 /// Serialized tenant state per replication push (and per restore pull):
 /// policy blob + breaker/ledger state at checkpoint granularity.
@@ -39,37 +35,12 @@ int shards_per_mesh(const CampaignConfig& campaign, int meshes) {
 }  // namespace
 
 int ClusterConfig::resolved_meshes() const {
-  long long n = meshes;
-  if (n <= 0) {
-    n = 1;
-    long long v = 0;
-    if (common::env_long("ODIN_MESHES", v) && v >= 1) n = v;
-  }
-  return static_cast<int>(std::clamp<long long>(n, 1, kMaxMeshes));
+  return std::clamp(meshes, 1, kMaxMeshes);
 }
 
 int ClusterConfig::resolved_replication_epochs() const {
-  long long n = replication_epochs;
-  if (n <= 0) {
-    n = kDefaultReplicationEpochs;
-    long long v = 0;
-    if (common::env_long("ODIN_REPLICATION_EPOCHS", v) && v >= 1) n = v;
-  }
-  return static_cast<int>(std::clamp<long long>(n, 1, kMaxReplicationEpochs));
-}
-
-bool FailoverConfig::resolved_enabled() const {
-  if (enabled >= 0) return enabled > 0;
-  const char* v = common::env_string("ODIN_FAILOVER");
-  if (v == nullptr) return true;
-  const std::string_view s(v);
-  if (s == "on" || s == "1") return true;
-  if (s == "off" || s == "0") return false;
-  std::fprintf(stderr,
-               "odin: ignoring ODIN_FAILOVER='%s' (not on|off|1|0); "
-               "using default (on)\n",
-               v);
-  return true;
+  if (replication_epochs <= 0) return ClusterConfig{}.replication_epochs;
+  return std::min(replication_epochs, kMaxReplicationEpochs);
 }
 
 // ---------------------------------------------------------------------------
@@ -90,15 +61,7 @@ void encode_cluster_state(const ClusterState& s, common::ByteWriter& out) {
   encode_vec(s.tenant_ready_s, out, [&](double v) { out.f64(v); });
   encode_vec(s.tenant_victim, out, [&](std::uint8_t v) { out.u8(v); });
   encode_vec(s.breakers, out, [&](const CircuitBreaker::Snapshot& b) {
-    out.i32(b.state);
-    out.u64(b.window_bits);
-    out.i32(b.window_fill);
-    out.i32(b.hold_left);
-    out.i32(b.hold_runs);
-    out.i32(b.opens);
-    out.i32(b.reopens);
-    out.i32(b.probes);
-    out.i32(b.closes);
+    encode_breaker(b, out);
   });
   out.i64(s.failovers);
   out.i64(s.restored_stale);
@@ -135,19 +98,7 @@ std::optional<ClusterState> decode_cluster_state(common::ByteReader& in) {
       !decode_vec(in, s.replica_mesh, [&] { return in.i32(); }) ||
       !decode_vec(in, s.tenant_ready_s, f64) ||
       !decode_vec(in, s.tenant_victim, u8) ||
-      !decode_vec(in, s.breakers, [&] {
-        CircuitBreaker::Snapshot b;
-        b.state = in.i32();
-        b.window_bits = in.u64();
-        b.window_fill = in.i32();
-        b.hold_left = in.i32();
-        b.hold_runs = in.i32();
-        b.opens = in.i32();
-        b.reopens = in.i32();
-        b.probes = in.i32();
-        b.closes = in.i32();
-        return b;
-      }))
+      !decode_vec(in, s.breakers, [&] { return decode_breaker(in); }))
     return std::nullopt;
   s.failovers = in.i64();
   s.restored_stale = in.i64();
@@ -307,8 +258,8 @@ std::optional<ClusterResult> run_cluster_impl(
   const int S = M * K;  ///< global shard count
   const int E = std::max(1, camp.epochs);
   const int R = config.resolved_replication_epochs();
-  const bool autoscale = camp.autoscale.resolved_enabled();
-  const bool fo = config.failover.resolved_enabled();
+  const bool autoscale = camp.autoscale.enabled;
+  const bool fo = config.failover.enabled;
   const std::size_t T = trace.tenants.size();
   const double h = scfg.horizon_s;
 
@@ -900,15 +851,13 @@ std::optional<ClusterResult> run_cluster_impl(
 }
 
 /// run_campaign's geometry as a cluster: one mesh, no outages, failover
-/// off. Every cluster knob is pinned, so no cluster env default leaks into
-/// a campaign.
+/// off.
 ClusterConfig one_mesh(const CampaignConfig& campaign) {
   ClusterConfig cfg;
   cfg.campaign = campaign;
   cfg.meshes = 1;
   cfg.mesh_outages = 0;
-  cfg.replication_epochs = kDefaultReplicationEpochs;
-  cfg.failover.enabled = 0;
+  cfg.failover.enabled = false;
   return cfg;
 }
 
@@ -936,14 +885,14 @@ std::optional<ClusterResult> resume_impl(const ClusterConfig& config,
       s.tenants != std::max(1, scfg.tenants) ||
       s.shards != M * shards_per_mesh(camp, M) ||
       s.epochs != std::max(1, camp.epochs) ||
-      s.autoscale != camp.autoscale.resolved_enabled() ||
+      s.autoscale != camp.autoscale.enabled ||
       ckpt->sojourn_cap != static_cast<std::uint64_t>(camp.sojourn_cap))
     return std::nullopt;
   const ClusterState& c = ckpt->cluster;
   if (cluster_frames &&
       (c.meshes != M ||
        c.replication_epochs != config.resolved_replication_epochs() ||
-       c.failover != config.failover.resolved_enabled()))
+       c.failover != config.failover.enabled))
     return std::nullopt;
   ClusterConfig cont = config;
   cont.campaign.max_requests = 0;
@@ -1032,89 +981,55 @@ std::optional<CampaignResult> resume_campaign(const CampaignConfig& config) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster scenario-file parser. Cluster keys are consumed here; every
-// other line is passed through to parse_scenario with its position
-// preserved (consumed lines become blanks), so scenario-level errors
-// still report the right line number.
+// Cluster scenario-file parser: parse_scenario's line loop with the cluster
+// keys as its extra key set.
 
 std::optional<ClusterConfig> parse_cluster(std::istream& in) {
   ClusterConfig cfg;
-  std::string raw;
-  int lineno = 0;
-  std::string rest;
-  auto fail = [&](const char* why) -> std::optional<ClusterConfig> {
-    std::fprintf(stderr, "odin: scenario line %d: %s: %s\n", lineno, why,
-                 raw.c_str());
-    return std::nullopt;
-  };
-  while (std::getline(in, raw)) {
-    ++lineno;
-    std::string text = raw;
-    if (const auto hash = text.find('#'); hash != std::string::npos)
-      text.resize(hash);
-    std::istringstream ls(text);
-    std::string key;
-    if (!(ls >> key)) {
-      rest += raw;
-      rest += '\n';
-      continue;
-    }
-    std::vector<std::string> args;
-    for (std::string a; ls >> a;) args.push_back(a);
-    auto num = [&](std::size_t i, double& v) {
-      return i < args.size() && common::parse_f64(args[i].c_str(), v);
-    };
-    auto integer = [&](std::size_t i, long long& v) {
-      return i < args.size() && common::parse_i64(args[i].c_str(), v);
-    };
+  auto cluster_key = [&cfg](const ScenarioLine& l) -> const char* {
+    const std::string& key = l.key;
     long long iv = 0;
     double fv = 0.0;
     if (key == "meshes") {
-      if (!integer(0, iv) || iv < 1 || iv > kMaxMeshes)
-        return fail("want integer in [1, 8]");
+      if (!l.integer(0, iv) || iv < 1 || iv > kMaxMeshes)
+        return "want integer in [1, 8]";
       cfg.meshes = static_cast<int>(iv);
     } else if (key == "replication-epochs") {
-      if (!integer(0, iv) || iv < 1 || iv > kMaxReplicationEpochs)
-        return fail("want integer in [1, 64]");
+      if (!l.integer(0, iv) || iv < 1 || iv > kMaxReplicationEpochs)
+        return "want integer in [1, 64]";
       cfg.replication_epochs = static_cast<int>(iv);
     } else if (key == "failover") {
-      if (args.size() != 1 || (args[0] != "on" && args[0] != "off" &&
-                               args[0] != "1" && args[0] != "0"))
-        return fail("want on|off|1|0");
-      cfg.failover.enabled = (args[0] == "on" || args[0] == "1") ? 1 : 0;
+      if (!l.on_off(cfg.failover.enabled)) return "want on|off|1|0";
     } else if (key == "outage") {
       MeshOutage o;
       long long mesh = -1;
-      if (!num(0, o.start_frac) || !num(1, o.duration_frac))
-        return fail("want: outage START_FRAC DURATION_FRAC [MESH]");
-      if (args.size() > 2 && !integer(2, mesh)) return fail("bad MESH");
+      if (!l.num(0, o.start_frac) || !l.num(1, o.duration_frac))
+        return "want: outage START_FRAC DURATION_FRAC [MESH]";
+      if (l.args.size() > 2 && !l.integer(2, mesh)) return "bad MESH";
       o.mesh = static_cast<int>(mesh);
       cfg.outages.push_back(o);
     } else if (key == "mesh-outages") {
-      if (!integer(0, iv) || iv < 0) return fail("want integer >= 0");
+      if (!l.integer(0, iv) || iv < 0) return "want integer >= 0";
       cfg.mesh_outages = static_cast<int>(iv);
     } else if (key == "outage-duration-frac") {
-      if (!num(0, fv) || fv <= 0.0 || fv > 1.0)
-        return fail("want number in (0, 1]");
+      if (!l.num(0, fv) || fv <= 0.0 || fv > 1.0)
+        return "want number in (0, 1]";
       cfg.outage_duration_frac = fv;
     } else if (key == "detection-s") {
-      if (!num(0, fv) || fv < 0.0) return fail("want number >= 0");
+      if (!l.num(0, fv) || fv < 0.0) return "want number >= 0";
       cfg.failover.detection_s = fv;
     } else if (key == "restore-s") {
-      if (!num(0, fv) || fv < 0.0) return fail("want number >= 0");
+      if (!l.num(0, fv) || fv < 0.0) return "want number >= 0";
       cfg.failover.restore_s = fv;
     } else if (key == "degraded-window") {
-      if (!integer(0, iv) || iv < 1) return fail("want integer >= 1");
+      if (!l.integer(0, iv) || iv < 1) return "want integer >= 1";
       cfg.failover.degraded_window = static_cast<int>(iv);
     } else {
-      rest += raw;
-      rest += '\n';
-      continue;
+      return "unknown key";
     }
-    rest += '\n';  // consumed: keep downstream line numbers aligned
-  }
-  std::istringstream scenario_in(rest);
-  auto camp = parse_scenario(scenario_in);
+    return nullptr;
+  };
+  auto camp = parse_scenario(in, cluster_key);
   if (!camp.has_value()) return std::nullopt;
   cfg.campaign = std::move(*camp);
   return cfg;

@@ -60,9 +60,7 @@ struct MeshOutage {
 
 /// Failover policy for tenants on a lost mesh.
 struct FailoverConfig {
-  /// Tri-state: < 0 defers to ODIN_FAILOVER ("on"/"off"/"1"/"0", strict
-  /// parse, garbage warns and keeps the default on), 0 = off, > 0 = on.
-  int enabled = -1;
+  bool enabled = true;
   /// Outage-to-detection delay before the first restore can start.
   double detection_s = 30.0;
   /// Per-tenant restore work on the destination (state reinstatement,
@@ -72,26 +70,22 @@ struct FailoverConfig {
   /// Breaker hold (in tenant runs) a restored tenant is pre-opened for —
   /// the degraded-admission regime until the half-open probe passes.
   int degraded_window = 8;
-
-  bool resolved_enabled() const;
 };
 
 struct ClusterConfig {
   /// The per-mesh campaign (scenario, shards *per mesh*, autoscale,
   /// epochs, checkpointing).
   CampaignConfig campaign{};
-  /// Mesh count; <= 0 defers to ODIN_MESHES (strict env_long parse,
-  /// default 1). Clamped to [1, 8].
-  int meshes = 0;
+  /// Mesh count, clamped to [1, 8] (so <= 0 is the default, one).
+  int meshes = 1;
   /// Outage windows; when empty, `mesh_outages` windows are drawn from the
   /// scenario seed with `outage_duration_frac` each.
   std::vector<MeshOutage> outages;
   int mesh_outages = 1;
   double outage_duration_frac = 0.25;
   /// Replicate tenant state to a peer mesh every this many epochs; <= 0
-  /// defers to ODIN_REPLICATION_EPOCHS (strict parse, default 4). Clamped
-  /// to [1, 64].
-  int replication_epochs = 0;
+  /// selects the default. Clamped to [1, 64].
+  int replication_epochs = 4;
   FailoverConfig failover{};
 
   int resolved_meshes() const;

@@ -37,9 +37,8 @@ struct FleetConfig {
   /// and segments are split across shards by tenant membership).
   ServingConfig serving{};
   arch::PimConfig pim{};
-  /// Shard count; <= 0 defers to ODIN_SHARDS (strict env_long parse,
-  /// default 1). Clamped to [1, pim.pes].
-  int shards = 0;
+  /// Shard count, clamped to [1, pim.pes] (so <= 0 is the default, one).
+  int shards = 1;
   /// NoC-aware greedy-then-refine placement; false = placement-oblivious
   /// round-robin (tenant t -> shard t % shards), the comparison baseline.
   bool noc_aware = true;

@@ -64,11 +64,11 @@ struct BreakerConfig {
 /// for throughput.
 struct BatchingConfig {
   bool enabled = false;
-  /// Upper bound on batch size; 0 defers to ODIN_BATCH_MAX (strict parse,
-  /// default 8). Clamped to [1, 1024].
-  int max_batch = 0;
+  /// Upper bound on batch size; <= 0 selects the default. Clamped to
+  /// [1, 1024].
+  int max_batch = 8;
 
-  /// The effective cap after the env fallback and clamping.
+  /// The effective cap after the default and the clamp.
   int resolved_max_batch() const;
 };
 

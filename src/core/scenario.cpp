@@ -18,8 +18,6 @@ namespace odin::core {
 
 namespace {
 
-constexpr std::uint64_t kDefaultScenarioSeed = 1;
-
 /// Inter-layer pipeline speedup per extra PE of a shard block (the
 /// campaign-scale stand-in for arch::interlayer_pipeline).
 constexpr double kSpeedPerExtraPe = 0.25;
@@ -50,25 +48,7 @@ const char* tier_name(PriorityTier tier) {
 }
 
 std::uint64_t ScenarioConfig::resolved_seed() const {
-  if (seed != 0) return seed;
-  long long v = 0;
-  if (common::env_long("ODIN_SCENARIO_SEED", v) && v >= 1)
-    return static_cast<std::uint64_t>(v);
-  return kDefaultScenarioSeed;
-}
-
-bool AutoscaleConfig::resolved_enabled() const {
-  if (enabled >= 0) return enabled > 0;
-  const char* v = common::env_string("ODIN_AUTOSCALE");
-  if (v == nullptr) return true;
-  const std::string_view s(v);
-  if (s == "on" || s == "1") return true;
-  if (s == "off" || s == "0") return false;
-  std::fprintf(stderr,
-               "odin: ignoring ODIN_AUTOSCALE='%s' (not on|off|1|0); "
-               "using default (on)\n",
-               v);
-  return true;
+  return std::max<std::uint64_t>(seed, 1);
 }
 
 double ScenarioTrace::diurnal(double t_s) const {
@@ -557,125 +537,140 @@ void apply_trace_to_serving(const ScenarioTrace& trace, ServingConfig& sc) {
 // ---------------------------------------------------------------------------
 // Scenario-file parser (docs/scenario_format.md).
 
-std::optional<CampaignConfig> parse_scenario(std::istream& in) {
+bool ScenarioLine::num(std::size_t i, double& v) const {
+  return i < args.size() && common::parse_f64(args[i].c_str(), v);
+}
+
+bool ScenarioLine::integer(std::size_t i, long long& v) const {
+  return i < args.size() && common::parse_i64(args[i].c_str(), v);
+}
+
+bool ScenarioLine::on_off(bool& v) const {
+  return args.size() == 1 && common::parse_on_off(args[0].c_str(), v);
+}
+
+namespace {
+
+constexpr const char* kUnknownKey = "unknown key";
+
+/// One scenario-set key into `cfg`: nullptr when taken, else the error
+/// (kUnknownKey for a key outside the set).
+const char* parse_scenario_key(const ScenarioLine& l, CampaignConfig& cfg) {
+  const std::string& key = l.key;
+  long long iv = 0;
+  double fv = 0.0;
+  if (key == "seed") {
+    if (!l.integer(0, iv) || iv < 1) return "want integer >= 1";
+    cfg.scenario.seed = static_cast<std::uint64_t>(iv);
+  } else if (key == "tenants") {
+    if (!l.integer(0, iv) || iv < 1) return "want integer >= 1";
+    cfg.scenario.tenants = static_cast<int>(iv);
+  } else if (key == "requests") {
+    if (!l.integer(0, iv) || iv < 1) return "want integer >= 1";
+    cfg.scenario.requests = iv;
+  } else if (key == "horizon-s") {
+    if (!l.num(0, fv) || fv <= 0.0) return "want number > 0";
+    cfg.scenario.horizon_s = fv;
+  } else if (key == "diurnal-cycles") {
+    if (!l.integer(0, iv) || iv < 0) return "want integer >= 0";
+    cfg.scenario.diurnal_cycles = static_cast<int>(iv);
+  } else if (key == "diurnal-amplitude") {
+    if (!l.num(0, fv) || fv < 0.0 || fv >= 1.0)
+      return "want number in [0, 1)";
+    cfg.scenario.diurnal_amplitude = fv;
+  } else if (key == "churn-frac") {
+    if (!l.num(0, fv) || fv < 0.0 || fv > 1.0)
+      return "want number in [0, 1]";
+    cfg.scenario.churn_frac = fv;
+  } else if (key == "target-utilization") {
+    if (!l.num(0, fv) || fv <= 0.0 || fv >= 1.0)
+      return "want number in (0, 1)";
+    cfg.scenario.target_utilization = fv;
+  } else if (key == "gold-share") {
+    if (!l.num(0, fv)) return "want number";
+    cfg.scenario.gold_share = fv;
+  } else if (key == "silver-share") {
+    if (!l.num(0, fv)) return "want number";
+    cfg.scenario.silver_share = fv;
+  } else if (key == "gold-slo-mult") {
+    if (!l.num(0, fv) || fv <= 0.0) return "want number > 0";
+    cfg.scenario.gold_slo_mult = fv;
+  } else if (key == "silver-slo-mult") {
+    if (!l.num(0, fv) || fv <= 0.0) return "want number > 0";
+    cfg.scenario.silver_slo_mult = fv;
+  } else if (key == "bronze-slo-mult") {
+    if (!l.num(0, fv) || fv <= 0.0) return "want number > 0";
+    cfg.scenario.bronze_slo_mult = fv;
+  } else if (key == "flash") {
+    FlashCrowd f;
+    if (!l.num(0, f.start_frac) || !l.num(1, f.duration_frac) ||
+        !l.num(2, f.multiplier))
+      return "want: flash START_FRAC DURATION_FRAC MULT [TENANT_FRAC]";
+    if (l.args.size() > 3 && !l.num(3, f.tenant_frac))
+      return "bad TENANT_FRAC";
+    cfg.scenario.flash.push_back(f);
+  } else if (key == "storm") {
+    FaultStorm s;
+    long long radius = 1, campaigns = 4, center = -1;
+    if (!l.num(0, s.start_frac) || !l.num(1, s.duration_frac) ||
+        !l.num(2, s.drift_multiplier) || !l.integer(3, radius) ||
+        !l.integer(4, campaigns))
+      return "want: storm START_FRAC DURATION_FRAC MULT RADIUS CAMPAIGNS "
+             "[CENTER_PE]";
+    if (l.args.size() > 5 && !l.integer(5, center)) return "bad CENTER_PE";
+    s.radius = static_cast<int>(radius);
+    s.campaigns = static_cast<int>(campaigns);
+    s.center_pe = static_cast<int>(center);
+    cfg.scenario.storms.push_back(s);
+  } else if (key == "shards") {
+    if (!l.integer(0, iv) || iv < 1) return "want integer >= 1";
+    cfg.shards = static_cast<int>(iv);
+  } else if (key == "epochs") {
+    if (!l.integer(0, iv) || iv < 1) return "want integer >= 1";
+    cfg.epochs = static_cast<int>(iv);
+  } else if (key == "autoscale") {
+    if (!l.on_off(cfg.autoscale.enabled)) return "want on|off|1|0";
+  } else if (key == "sojourn-cap") {
+    if (!l.integer(0, iv) || iv < 0) return "want integer >= 0";
+    cfg.sojourn_cap = static_cast<std::size_t>(iv);
+  } else if (key == "checkpoint") {
+    if (l.args.size() != 1) return "want one path";
+    cfg.checkpoint.base_path = l.args[0];
+  } else if (key == "checkpoint-every") {
+    if (!l.integer(0, iv) || iv < 1) return "want integer >= 1";
+    cfg.checkpoint.every_runs = static_cast<int>(iv);
+  } else if (key == "fault-seed") {
+    if (!l.integer(0, iv) || iv < 0) return "want integer >= 0";
+    cfg.fault_seed = static_cast<std::uint64_t>(iv);
+  } else if (key == "shed-slo-mult") {
+    if (!l.num(0, fv) || fv <= 0.0) return "want number > 0";
+    cfg.queue_shed_slo_mult = fv;
+  } else {
+    return kUnknownKey;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::optional<CampaignConfig> parse_scenario(std::istream& in,
+                                             const ScenarioKeyParser& extra) {
   CampaignConfig cfg;
   std::string raw;
-  int lineno = 0;
-  auto fail = [&](const char* why) -> std::optional<CampaignConfig> {
-    std::fprintf(stderr, "odin: scenario line %d: %s: %s\n", lineno, why,
-                 raw.c_str());
-    return std::nullopt;
-  };
-  while (std::getline(in, raw)) {
-    ++lineno;
+  for (int lineno = 1; std::getline(in, raw); ++lineno) {
     std::string text = raw;
     if (const auto hash = text.find('#'); hash != std::string::npos)
       text.resize(hash);
     std::istringstream ls(text);
-    std::string key;
-    if (!(ls >> key)) continue;  // blank / comment-only line
-    std::vector<std::string> args;
-    for (std::string a; ls >> a;) args.push_back(a);
-    auto num = [&](std::size_t i, double& v) {
-      return i < args.size() && common::parse_f64(args[i].c_str(), v);
-    };
-    auto integer = [&](std::size_t i, long long& v) {
-      return i < args.size() && common::parse_i64(args[i].c_str(), v);
-    };
-    long long iv = 0;
-    double fv = 0.0;
-    if (key == "seed") {
-      if (!integer(0, iv) || iv < 1) return fail("want integer >= 1");
-      cfg.scenario.seed = static_cast<std::uint64_t>(iv);
-    } else if (key == "tenants") {
-      if (!integer(0, iv) || iv < 1) return fail("want integer >= 1");
-      cfg.scenario.tenants = static_cast<int>(iv);
-    } else if (key == "requests") {
-      if (!integer(0, iv) || iv < 1) return fail("want integer >= 1");
-      cfg.scenario.requests = iv;
-    } else if (key == "horizon-s") {
-      if (!num(0, fv) || fv <= 0.0) return fail("want number > 0");
-      cfg.scenario.horizon_s = fv;
-    } else if (key == "diurnal-cycles") {
-      if (!integer(0, iv) || iv < 0) return fail("want integer >= 0");
-      cfg.scenario.diurnal_cycles = static_cast<int>(iv);
-    } else if (key == "diurnal-amplitude") {
-      if (!num(0, fv) || fv < 0.0 || fv >= 1.0)
-        return fail("want number in [0, 1)");
-      cfg.scenario.diurnal_amplitude = fv;
-    } else if (key == "churn-frac") {
-      if (!num(0, fv) || fv < 0.0 || fv > 1.0)
-        return fail("want number in [0, 1]");
-      cfg.scenario.churn_frac = fv;
-    } else if (key == "target-utilization") {
-      if (!num(0, fv) || fv <= 0.0 || fv >= 1.0)
-        return fail("want number in (0, 1)");
-      cfg.scenario.target_utilization = fv;
-    } else if (key == "gold-share") {
-      if (!num(0, fv)) return fail("want number");
-      cfg.scenario.gold_share = fv;
-    } else if (key == "silver-share") {
-      if (!num(0, fv)) return fail("want number");
-      cfg.scenario.silver_share = fv;
-    } else if (key == "gold-slo-mult") {
-      if (!num(0, fv) || fv <= 0.0) return fail("want number > 0");
-      cfg.scenario.gold_slo_mult = fv;
-    } else if (key == "silver-slo-mult") {
-      if (!num(0, fv) || fv <= 0.0) return fail("want number > 0");
-      cfg.scenario.silver_slo_mult = fv;
-    } else if (key == "bronze-slo-mult") {
-      if (!num(0, fv) || fv <= 0.0) return fail("want number > 0");
-      cfg.scenario.bronze_slo_mult = fv;
-    } else if (key == "flash") {
-      FlashCrowd f;
-      if (!num(0, f.start_frac) || !num(1, f.duration_frac) ||
-          !num(2, f.multiplier))
-        return fail("want: flash START_FRAC DURATION_FRAC MULT [TENANT_FRAC]");
-      if (args.size() > 3 && !num(3, f.tenant_frac))
-        return fail("bad TENANT_FRAC");
-      cfg.scenario.flash.push_back(f);
-    } else if (key == "storm") {
-      FaultStorm s;
-      long long radius = 1, campaigns = 4, center = -1;
-      if (!num(0, s.start_frac) || !num(1, s.duration_frac) ||
-          !num(2, s.drift_multiplier) || !integer(3, radius) ||
-          !integer(4, campaigns))
-        return fail(
-            "want: storm START_FRAC DURATION_FRAC MULT RADIUS CAMPAIGNS "
-            "[CENTER_PE]");
-      if (args.size() > 5 && !integer(5, center)) return fail("bad CENTER_PE");
-      s.radius = static_cast<int>(radius);
-      s.campaigns = static_cast<int>(campaigns);
-      s.center_pe = static_cast<int>(center);
-      cfg.scenario.storms.push_back(s);
-    } else if (key == "shards") {
-      if (!integer(0, iv) || iv < 1) return fail("want integer >= 1");
-      cfg.shards = static_cast<int>(iv);
-    } else if (key == "epochs") {
-      if (!integer(0, iv) || iv < 1) return fail("want integer >= 1");
-      cfg.epochs = static_cast<int>(iv);
-    } else if (key == "autoscale") {
-      if (args.size() != 1 || (args[0] != "on" && args[0] != "off" &&
-                               args[0] != "1" && args[0] != "0"))
-        return fail("want on|off|1|0");
-      cfg.autoscale.enabled = (args[0] == "on" || args[0] == "1") ? 1 : 0;
-    } else if (key == "sojourn-cap") {
-      if (!integer(0, iv) || iv < 0) return fail("want integer >= 0");
-      cfg.sojourn_cap = static_cast<std::size_t>(iv);
-    } else if (key == "checkpoint") {
-      if (args.size() != 1) return fail("want one path");
-      cfg.checkpoint.base_path = args[0];
-    } else if (key == "checkpoint-every") {
-      if (!integer(0, iv) || iv < 1) return fail("want integer >= 1");
-      cfg.checkpoint.every_runs = static_cast<int>(iv);
-    } else if (key == "fault-seed") {
-      if (!integer(0, iv) || iv < 0) return fail("want integer >= 0");
-      cfg.fault_seed = static_cast<std::uint64_t>(iv);
-    } else if (key == "shed-slo-mult") {
-      if (!num(0, fv) || fv <= 0.0) return fail("want number > 0");
-      cfg.queue_shed_slo_mult = fv;
-    } else {
-      return fail("unknown key");
+    ScenarioLine line;
+    if (!(ls >> line.key)) continue;  // blank / comment-only line
+    for (std::string a; ls >> a;) line.args.push_back(a);
+    const char* why = parse_scenario_key(line, cfg);
+    if (why == kUnknownKey && extra) why = extra(line);
+    if (why != nullptr) {
+      std::fprintf(stderr, "odin: scenario line %d: %s: %s\n", lineno, why,
+                   raw.c_str());
+      return std::nullopt;
     }
   }
   return cfg;

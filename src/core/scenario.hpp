@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -86,9 +87,7 @@ struct FaultStorm {
 
 /// Reactive autoscaling policy over the campaign fleet.
 struct AutoscaleConfig {
-  /// Tri-state: < 0 defers to ODIN_AUTOSCALE ("on"/"off"/"1"/"0", strict
-  /// parse, garbage warns and keeps the default on), 0 = off, > 0 = on.
-  int enabled = -1;
+  bool enabled = true;
   /// Re-cut PE blocks only when max/mean per-PE shard demand over the last
   /// epoch exceeds this factor (hysteresis against thrashing).
   double imbalance_threshold = 1.25;
@@ -96,14 +95,11 @@ struct AutoscaleConfig {
   /// ledger — off the critical path, never the serving FIFO.
   double migration_cost_s = 2e-3;
   double migration_energy_j = 5e-4;
-
-  bool resolved_enabled() const;
 };
 
 struct ScenarioConfig {
-  /// 0 defers to ODIN_SCENARIO_SEED (strict env_long parse, values >= 1;
-  /// default 1).
-  std::uint64_t seed = 0;
+  /// Trace seed; 0 selects the default (see resolved_seed()).
+  std::uint64_t seed = 1;
   int tenants = 64;
   long long requests = 100'000;
   /// Wall-clock span the arrival process is calibrated to cover.
@@ -142,6 +138,7 @@ struct ScenarioConfig {
   /// crowds create real transient overload instead of idling.
   double target_utilization = 0.45;
 
+  /// The seed in force: `seed`, floored at 1.
   std::uint64_t resolved_seed() const;
 };
 
@@ -358,10 +355,30 @@ std::optional<CampaignResult> resume_campaign(const CampaignConfig& config);
 /// millions of requests analytically.
 void apply_trace_to_serving(const ScenarioTrace& trace, ServingConfig& sc);
 
+/// One scenario-file line: its key and whitespace-split arguments, with
+/// the strict accessors every key parses through.
+struct ScenarioLine {
+  std::string key;
+  std::vector<std::string> args;
+
+  /// args[i] as one whole number; false when missing or malformed.
+  bool num(std::size_t i, double& v) const;
+  bool integer(std::size_t i, long long& v) const;
+  /// Exactly one argument, spelled on|off|1|0.
+  bool on_off(bool& v) const;
+};
+
+/// Parses keys beyond the scenario set (parse_cluster's cluster keys).
+/// Returns nullptr when it took the line, otherwise the error to report —
+/// "unknown key" for a key it does not know either.
+using ScenarioKeyParser = std::function<const char*(const ScenarioLine&)>;
+
 /// Parse a scenario file (docs/scenario_format.md): `key value` lines,
-/// `#` comments, repeated `flash`/`storm` directives. Returns nullopt and
+/// `#` comments, repeated `flash`/`storm` directives; `extra`, when set,
+/// parses the keys the scenario set does not know. Returns nullopt and
 /// names the offending line on stderr for malformed input.
-std::optional<CampaignConfig> parse_scenario(std::istream& in);
+std::optional<CampaignConfig> parse_scenario(
+    std::istream& in, const ScenarioKeyParser& extra = nullptr);
 std::optional<CampaignConfig> parse_scenario_file(const std::string& path);
 
 }  // namespace odin::core

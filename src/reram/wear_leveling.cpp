@@ -2,26 +2,19 @@
 
 #include <algorithm>
 
-#include "common/env.hpp"
 
 namespace odin::reram {
 
 int WearLevelingParams::resolved_spare_rows() const {
-  long long v = spare_rows;
-  if (v <= 0) {
-    v = 16;
-    common::env_long("ODIN_SPARE_ROWS", v);
-  }
-  return static_cast<int>(std::clamp<long long>(v, 1, 512));
+  if (spare_rows <= 0) return WearLevelingParams{}.spare_rows;
+  return std::min(spare_rows, 512);
 }
 
 double WearLevelingParams::resolved_wear_budget() const {
-  long long v = wear_budget_percent;
-  if (v <= 0) {
-    v = 80;
-    common::env_long("ODIN_WEAR_BUDGET", v);
-  }
-  return static_cast<double>(std::clamp<long long>(v, 1, 100)) / 100.0;
+  const int percent = wear_budget_percent <= 0
+                          ? WearLevelingParams{}.wear_budget_percent
+                          : std::min(wear_budget_percent, 100);
+  return static_cast<double>(percent) / 100.0;
 }
 
 void encode_wear_map(const WearMap& map, common::ByteWriter& out) {

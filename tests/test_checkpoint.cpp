@@ -668,26 +668,52 @@ TEST(Checkpoint, PayloadMutationFuzzNeverCrashes) {
   }
   // Inflated counts: every offset whose u64 reads as a small positive
   // value is a candidate count field (the real ones among them); overwrite
-  // it with a count at or just past a decoder cap, or far past the payload.
+  // each with every count at or just past a decoder cap, or far past the
+  // payload.
   std::vector<std::size_t> counts;
   for (std::size_t i = 0; i + 8 <= pristine.size(); ++i) {
     common::ByteReader in(std::string_view(pristine).substr(i, 8));
     const std::uint64_t v = in.u64();
     if (v >= 1 && v <= 4096) counts.push_back(i);
   }
-  ASSERT_FALSE(counts.empty());
+  // The counts of the payload's own tables are among the candidates: each
+  // sits where the encoding first changes when its table grows by one.
+  const ServingCheckpoint sample = sample_checkpoint(tenant);
+  auto count_at = [&](void (*grow)(ServingCheckpoint&)) {
+    ServingCheckpoint bigger = sample;
+    grow(bigger);
+    common::ByteWriter w;
+    encode_checkpoint(bigger, w);
+    return static_cast<std::size_t>(
+        std::mismatch(pristine.begin(), pristine.end(), w.bytes().begin())
+            .first -
+        pristine.begin());
+  };
+  for (const std::size_t at :
+       {count_at([](ServingCheckpoint& c) { c.tenant_names.push_back("x"); }),
+        count_at([](ServingCheckpoint& c) { c.result.tenants.emplace_back(); }),
+        count_at([](ServingCheckpoint& c) { c.health_maps.emplace_back(); }),
+        count_at([](ServingCheckpoint& c) { c.breakers.emplace_back(); }),
+        count_at([](ServingCheckpoint& c) { c.fallback_ous.emplace_back(); }),
+        count_at([](ServingCheckpoint& c) { c.wear_maps.emplace_back(); }),
+        count_at([](ServingCheckpoint& c) {
+          c.service_models.emplace_back();
+        })})
+    EXPECT_NE(std::find(counts.begin(), counts.end(), at), counts.end())
+        << "table count at offset " << at << " is not a candidate";
   const std::uint64_t inflated[] = {
       1u << 12, 1u << 16, (1u << 16) + 1, (1u << 24) + 1,
       1ull << 32, ~0ull};
-  for (int trial = 0; trial < 1500; ++trial) {
-    const std::size_t at = counts[pick(counts.size())];
-    common::ByteWriter w;
-    w.u64(inflated[pick(std::size(inflated))]);
-    std::string bytes = pristine;
-    bytes.replace(at, 8, w.bytes());
-    decode(bytes);
-  }
-  EXPECT_EQ(decoded + refused, 3500);
+  for (const std::size_t at : counts)
+    for (const std::uint64_t count : inflated) {
+      common::ByteWriter w;
+      w.u64(count);
+      std::string bytes = pristine;
+      bytes.replace(at, 8, w.bytes());
+      decode(bytes);
+    }
+  EXPECT_EQ(decoded + refused,
+            2000 + static_cast<int>(counts.size() * std::size(inflated)));
   EXPECT_GT(refused, 0);
 }
 

@@ -4,18 +4,25 @@
 // outage-during-storm overlap with byte-identical replay and mid-failover
 // crash/resume through checkpoint payload v7, the wrong-cluster-geometry
 // resume refusal (both directions: cluster frames refuse resume_campaign),
-// the ClusterState codec, and the cluster scenario-file parser.
+// the ClusterState codec, the cluster scenario-file parser, and the
+// defaults and clamps of the engine settings the campaign, cluster, fleet,
+// batching and wear-leveling configs carry.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.hpp"
 #include "core/cluster.hpp"
+#include "core/fleet.hpp"
+#include "core/resilience.hpp"
 #include "core/scenario.hpp"
 #include "core/serving.hpp"
+#include "reram/wear_leveling.hpp"
 
 namespace odin::core {
 namespace {
@@ -29,19 +36,18 @@ void remove_slots(const std::string& base) {
   std::remove((base + ".b").c_str());
 }
 
-/// A small cluster campaign with every knob pinned so tests never depend on
-/// ODIN_MESHES / ODIN_REPLICATION_EPOCHS / ODIN_FAILOVER / ODIN_AUTOSCALE.
+/// A small cluster campaign with every knob pinned.
 ClusterConfig small_cluster() {
   ClusterConfig cfg;
   cfg.campaign.scenario.seed = 11;
   cfg.campaign.scenario.tenants = 48;
   cfg.campaign.scenario.requests = 20'000;
   cfg.campaign.shards = 4;
-  cfg.campaign.autoscale.enabled = 1;
+  cfg.campaign.autoscale.enabled = true;
   cfg.campaign.epochs = 12;
   cfg.meshes = 3;
   cfg.replication_epochs = 4;
-  cfg.failover.enabled = 1;
+  cfg.failover.enabled = true;
   MeshOutage outage;
   outage.start_frac = 0.55;
   outage.duration_frac = 0.25;
@@ -80,7 +86,7 @@ TEST(Cluster, MeshOutageWithFailoverEvacuatesWithinRto) {
   const ClusterConfig cfg = small_cluster();
   const ClusterResult on = run_cluster(cfg);
   ClusterConfig off_cfg = cfg;
-  off_cfg.failover.enabled = 0;
+  off_cfg.failover.enabled = false;
   const ClusterResult off = run_cluster(off_cfg);
 
   // The outage fired and failover actually evacuated tenants.
@@ -213,7 +219,7 @@ TEST(Cluster, ResumeRefusesWrongClusterGeometry) {
   }
   {
     ClusterConfig wrong = cfg;
-    wrong.failover.enabled = 0;
+    wrong.failover.enabled = false;
     EXPECT_FALSE(resume_cluster(wrong).has_value());
   }
   {
@@ -288,10 +294,10 @@ TEST(Cluster, ParserAcceptsTheDocumentedFormat) {
   EXPECT_EQ(cfg->campaign.scenario.tenants, 96);
   EXPECT_EQ(cfg->campaign.shards, 4);
   EXPECT_EQ(cfg->campaign.epochs, 24);
-  EXPECT_EQ(cfg->campaign.autoscale.enabled, 1);
+  EXPECT_TRUE(cfg->campaign.autoscale.enabled);
   EXPECT_EQ(cfg->meshes, 3);
   EXPECT_EQ(cfg->replication_epochs, 6);
-  EXPECT_EQ(cfg->failover.enabled, 1);
+  EXPECT_TRUE(cfg->failover.enabled);
   ASSERT_EQ(cfg->outages.size(), 2u);
   EXPECT_EQ(cfg->outages[0].start_frac, 0.5);
   EXPECT_EQ(cfg->outages[0].duration_frac, 0.2);
@@ -333,7 +339,102 @@ TEST(Cluster, ParserRejectsMalformedInputWithNullopt) {
     std::istringstream in("tennants 96\n");  // scenario typo still refused
     EXPECT_FALSE(parse_cluster(in).has_value());
   }
+  {
+    // A scenario-level error after cluster keys names its own line.
+    std::istringstream in("meshes 3\nfailover off\n\ntenants zero\n");
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse_cluster(in).has_value());
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "odin: scenario line 4: want integer >= 1: tenants zero\n");
+  }
   EXPECT_FALSE(parse_cluster_file("/nonexistent/cluster.scn").has_value());
+}
+
+TEST(Settings, ResolveToDefaultsAndClamps) {
+  // Each engine setting as {field value, value in force}; kUnset leaves
+  // the field as constructed. 0 is the "default" spelling of the odin_cli
+  // flags (--shards/--meshes/--replication-epochs/--batch-max/--seed 0).
+  struct Configs {
+    FleetConfig fleet;
+    ClusterConfig cluster;
+    BatchingConfig batching;
+    reram::WearLevelingParams leveling;
+  };
+  struct Setting {
+    const char* name;
+    void (*set)(Configs&, long long);
+    double (*get)(const Configs&);
+    std::vector<std::pair<long long, double>> cases;
+  };
+  constexpr long long kUnset = std::numeric_limits<long long>::min();
+  const double pes = arch::PimConfig{}.pes;
+  const Setting settings[] = {
+      {"shards",
+       [](Configs& c, long long v) { c.fleet.shards = static_cast<int>(v); },
+       [](const Configs& c) { return double(c.fleet.resolved_shards()); },
+       {{kUnset, 1}, {0, 1}, {-3, 1}, {4, 4}, {99, pes}}},
+      {"meshes",
+       [](Configs& c, long long v) { c.cluster.meshes = static_cast<int>(v); },
+       [](const Configs& c) { return double(c.cluster.resolved_meshes()); },
+       {{kUnset, 1}, {0, 1}, {-3, 1}, {3, 3}, {99, 8}}},
+      {"replication-epochs",
+       [](Configs& c, long long v) {
+         c.cluster.replication_epochs = static_cast<int>(v);
+       },
+       [](const Configs& c) {
+         return double(c.cluster.resolved_replication_epochs());
+       },
+       {{kUnset, 4}, {0, 4}, {-3, 4}, {1, 1}, {8, 8}, {999, 64}}},
+      {"batch-max",
+       [](Configs& c, long long v) {
+         c.batching.max_batch = static_cast<int>(v);
+       },
+       [](const Configs& c) { return double(c.batching.resolved_max_batch()); },
+       {{kUnset, 8}, {0, 8}, {-3, 8}, {1, 1}, {32, 32}, {99999, 1024}}},
+      {"spare-rows",
+       [](Configs& c, long long v) {
+         c.leveling.spare_rows = static_cast<int>(v);
+       },
+       [](const Configs& c) {
+         return double(c.leveling.resolved_spare_rows());
+       },
+       {{kUnset, 16}, {0, 16}, {1, 1}, {32, 32}, {99999, 512}}},
+      {"wear-budget-percent",
+       [](Configs& c, long long v) {
+         c.leveling.wear_budget_percent = static_cast<int>(v);
+       },
+       [](const Configs& c) { return c.leveling.resolved_wear_budget(); },
+       {{kUnset, 0.80}, {0, 0.80}, {1, 0.01}, {25, 0.25}, {250, 1.0}}},
+      {"seed",
+       [](Configs& c, long long v) {
+         c.cluster.campaign.scenario.seed = static_cast<std::uint64_t>(v);
+       },
+       [](const Configs& c) {
+         return double(c.cluster.campaign.scenario.resolved_seed());
+       },
+       {{kUnset, 1}, {0, 1}, {7, 7}}},
+      {"autoscale",
+       [](Configs& c, long long v) {
+         c.cluster.campaign.autoscale.enabled = v != 0;
+       },
+       [](const Configs& c) {
+         return double(c.cluster.campaign.autoscale.enabled);
+       },
+       {{kUnset, 1}, {0, 0}, {1, 1}}},
+      {"failover",
+       [](Configs& c, long long v) { c.cluster.failover.enabled = v != 0; },
+       [](const Configs& c) { return double(c.cluster.failover.enabled); },
+       {{kUnset, 1}, {0, 0}, {1, 1}}},
+  };
+  for (const Setting& s : settings)
+    for (const auto& [value, want] : s.cases) {
+      Configs c;
+      if (value != kUnset) s.set(c, value);
+      EXPECT_EQ(s.get(c), want)
+          << s.name << " = "
+          << (value == kUnset ? std::string("default")
+                              : std::to_string(value));
+    }
 }
 
 }  // namespace

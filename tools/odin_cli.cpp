@@ -28,21 +28,20 @@
 //       circuit breakers and the hung-work watchdog. Reports deadline
 //       slack percentiles, shed/miss counts and breaker transitions.
 //       --batch-max enables deadline-aware batch formation over the
-//       admission queue with the given cap (0 = the ODIN_BATCH_MAX
-//       environment default); the summary then also reports batches
-//       formed, mean occupancy and SLO-capped growth.
-//       --wear SEED serves against a wear-leveled fault injector (spare
-//       pool sized by ODIN_SPARE_ROWS, retirement threshold by
-//       ODIN_WEAR_BUDGET) and reports per-tenant wear counters: rows
-//       remapped onto spares, crossbars retired (tenant migrated),
-//       leveled row writes, wear-deferred reprograms and the spare rows
-//       still unused.
+//       admission queue with the given cap (0 = the default, 8); the
+//       summary then also reports batches formed, mean occupancy and
+//       SLO-capped growth.
+//       --wear SEED serves against a wear-leveled fault injector (16 spare
+//       rows per crossbar, rows retired at 80% of their projected
+//       lifetime) and reports per-tenant wear counters: rows remapped
+//       onto spares, crossbars retired (tenant migrated), leveled row
+//       writes, wear-deferred reprograms and the spare rows still unused.
 //       --shards N partitions the 36-PE mesh into N shards and serves
 //       them concurrently: tenants are placed NoC-/wear-aware
 //       (core/fleet.hpp), each shard runs its own serving loop, and the
 //       report adds a per-shard table plus fleet aggregates (makespan,
-//       images/s, per-request EDP, pooled p99 slack). 0 defers to the
-//       ODIN_SHARDS environment default (1). With --wear, each shard
+//       images/s, per-request EDP, pooled p99 slack). 0 = the default,
+//       one shard. With --wear, each shard
 //       gets its own injector seeded SEED+k so placement can steer
 //       tenants off worn shards.
 //   odin_cli campaign [--file SCENARIO] [--seed N] [--tenants N]
@@ -69,6 +68,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/table.hpp"
 #include "core/checkpoint.hpp"
 #include "core/cluster.hpp"
@@ -467,8 +467,8 @@ int cmd_serve(int argc, char** argv) {
   // placement's wear term has distinct device histories to steer by.
   core::FleetConfig fleet;
   fleet.serving = config;
-  fleet.shards = std::atoi(
-      flag_value(argc, argv, "--shards").value_or("0").c_str());
+  if (const auto v = flag_value(argc, argv, "--shards"))
+    fleet.shards = std::atoi(v->c_str());
   const int shards = fleet.resolved_shards();
   if (shards > 1) {
     std::vector<reram::FaultInjector> owned_faults;
@@ -594,12 +594,10 @@ bool apply_campaign_flags(int argc, char** argv, core::CampaignConfig& cfg) {
     cfg.shards = std::atoi(v->c_str());
   if (const auto v = flag_value(argc, argv, "--epochs"))
     cfg.epochs = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--autoscale")) {
-    if (*v != "on" && *v != "off" && *v != "1" && *v != "0") {
-      std::fprintf(stderr, "bad --autoscale (on|off|1|0)\n");
-      return false;
-    }
-    cfg.autoscale.enabled = (*v == "on" || *v == "1") ? 1 : 0;
+  if (const auto v = flag_value(argc, argv, "--autoscale");
+      v && !common::parse_on_off(v->c_str(), cfg.autoscale.enabled)) {
+    std::fprintf(stderr, "bad --autoscale (on|off|1|0)\n");
+    return false;
   }
   if (const auto v = flag_value(argc, argv, "--checkpoint"))
     cfg.checkpoint.base_path = *v;
@@ -684,12 +682,10 @@ int cmd_cluster(int argc, char** argv) {
     cfg.meshes = std::atoi(v->c_str());
   if (const auto v = flag_value(argc, argv, "--replication-epochs"))
     cfg.replication_epochs = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--failover")) {
-    if (*v != "on" && *v != "off" && *v != "1" && *v != "0") {
-      std::fprintf(stderr, "bad --failover (on|off|1|0)\n");
-      return 1;
-    }
-    cfg.failover.enabled = (*v == "on" || *v == "1") ? 1 : 0;
+  if (const auto v = flag_value(argc, argv, "--failover");
+      v && !common::parse_on_off(v->c_str(), cfg.failover.enabled)) {
+    std::fprintf(stderr, "bad --failover (on|off|1|0)\n");
+    return 1;
   }
   if (const auto v = flag_value(argc, argv, "--mesh-outages"))
     cfg.mesh_outages = std::atoi(v->c_str());
@@ -740,10 +736,10 @@ int usage() {
                " tenant\n"
                "      evacuation onto surviving meshes under degraded"
                " admission;\n"
-               "      --meshes 0 = the ODIN_MESHES default, cluster keys in"
-               " the scenario\n"
-               "      file per docs/scenario_format.md; reports per-tenant"
-               " RTO/RPO)\n"
+               "      --meshes 0 = one mesh, --replication-epochs 0 = 4;"
+               " cluster keys in the\n"
+               "      scenario file per docs/scenario_format.md; reports"
+               " per-tenant RTO/RPO)\n"
                "  serve [--workloads A,B,C] [--runs N] [--segments K]"
                " [--crossbar N]\n"
                "        [--slo S] [--queue N] [--shed block|oldest|newest]"
@@ -758,16 +754,14 @@ int usage() {
                "      p50/p99 sojourn and deadline slack per tenant;"
                " --batch-max N\n"
                "      enables deadline-aware batch formation, 0 = the"
-               " ODIN_BATCH_MAX default;\n"
+               " default cap of 8;\n"
                "      --wear SEED serves against a wear-leveled injector"
                " and reports rows\n"
                "      remapped, crossbars retired, leveled writes and spare"
-               " rows left —\n"
-               "      pool size from ODIN_SPARE_ROWS, retirement threshold"
-               " from ODIN_WEAR_BUDGET;\n"
+               " rows left;\n"
                "      --shards N serves a sharded fleet with NoC-/wear-aware"
                " placement and\n"
-               "      per-shard loops, 0 = the ODIN_SHARDS default)\n");
+               "      per-shard loops, 0 = one shard)\n");
   return 2;
 }
 
